@@ -5,7 +5,7 @@ middleware: an eBPF/rBPF virtual machine with pre-flight verification and
 runtime memory isolation, a hosting engine with event hooks and key-value
 stores, a RIOT-like RTOS substrate, a CoAP/UDP network substrate, the SUIT
 secure-update pipeline, and the baseline runtimes the paper benchmarks
-against.  See ``DESIGN.md`` for the system inventory and experiment index.
+against.
 
 Quickstart::
 

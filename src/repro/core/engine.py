@@ -274,6 +274,9 @@ class HostingEngine:
         container.hook = hook
         container.state = ContainerState.ATTACHED
         hook.containers.append(container)
+        if container.tenant is not None:
+            # A rollback re-attach restores ownership a replace ended.
+            container.tenant.adopt(container)
         if hook.mode is HookMode.THREAD:
             self._spawn_worker(container)
         if self.supervisor is not None:
@@ -298,7 +301,10 @@ class HostingEngine:
         The replacement keeps the old container's *name*: the deployed
         slot is the stable identity operators (and the declarative
         deployment reconciler) track across updates — only the image
-        content changes.
+        content changes.  The tenant's ownership moves with the slot: it
+        releases the old container, so nothing here keeps it alive.  A
+        failed replace re-attaches the old container and leaves
+        ownership as it was.
         """
         if old.hook is None:
             raise AttachError("cannot replace a detached container")
@@ -309,14 +315,19 @@ class HostingEngine:
         fresh = self.load(new_program, tenant=tenant, contract=contract,
                           name=old.name)
         try:
-            return self.attach(fresh, hook_name)
+            self.attach(fresh, hook_name)
         except Exception:
             # Failure-atomic: a replacement whose image is rejected must
             # not leave the slot empty — re-attach the old container
             # (re-verified, so the clock is charged like any install;
             # a real device restoring its old image pays it too).
+            if tenant is not None:
+                tenant.release(fresh)
             self.attach(old, hook_name)
             raise
+        if tenant is not None:
+            tenant.release(old)
+        return fresh
 
     def _spawn_worker(self, container: FemtoContainer) -> None:
         """Worker thread for THREAD-mode hooks (one thread per instance)."""

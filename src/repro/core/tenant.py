@@ -4,6 +4,14 @@ A tenant owns a set of containers and one tenant-scoped key-value store
 shared among them.  The threat model's "malicious tenant" is exercised in
 tests by running adversarial bytecode under a tenant and asserting that
 neither the OS, nor other tenants' stores and memory, are reachable.
+
+Ownership follows the slot, not history: a tenant owns the containers it
+loaded until :meth:`~repro.core.engine.HostingEngine.replace` swaps one
+out or a deployment plan's ``Detach`` removes it; a supervisor
+quarantine keeps ownership.  A rollback that re-attaches a container
+restores its ownership.  So :attr:`Tenant.ram_bytes` counts what the
+tenant holds now, and a replaced container is not kept alive by its
+tenant.
 """
 
 from __future__ import annotations
@@ -23,7 +31,11 @@ TENANT_STRUCT_BYTES = 40
 
 @dataclass
 class Tenant:
-    """One code-deploying party on the device."""
+    """One code-deploying party on the device.
+
+    ``containers`` lists what the tenant owns now (see the module
+    docstring's ownership rule), compared by identity.
+    """
 
     name: str
     store: KeyValueStore = field(default=None)  # type: ignore[assignment]
@@ -36,6 +48,11 @@ class Tenant:
     def adopt(self, container: "FemtoContainer") -> None:
         if container not in self.containers:
             self.containers.append(container)
+
+    def release(self, container: "FemtoContainer") -> None:
+        """End ownership of ``container`` (idempotent)."""
+        if container in self.containers:
+            self.containers.remove(container)
 
     @property
     def ram_bytes(self) -> int:

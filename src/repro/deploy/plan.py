@@ -24,6 +24,10 @@
   fails verification, ...), every action already executed is reverted in
   reverse order and the error re-raised, leaving the device in its
   pre-apply state.
+* **Owning** — a ``Replace`` or ``Detach`` ends the tenant's ownership
+  of the container it removes (a rollback that re-attaches one restores
+  it), and an :class:`ApplyResult` holds containers only weakly, so a
+  replaced container is freed however long the update history grows.
 * **Policy-aware** — per-tenant hook-policy overrides declared by the
   spec (:attr:`~repro.deploy.spec.AttachmentSpec.tenant_policies`) are
   diffed into :class:`SetTenantPolicy` actions; slots whose ceiling
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from repro.core.errors import AttachError
 from repro.core.hooks import Hook, HookMode
@@ -55,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # -- actions ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateTenant:
     tenant: str
 
@@ -63,7 +67,7 @@ class CreateTenant:
         return f"create-tenant {self.tenant}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterHook:
     hook: str
     mode: HookMode
@@ -72,7 +76,7 @@ class RegisterHook:
         return f"register-hook  {self.hook} ({self.mode.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetTenantPolicy:
     """Reconcile one tenant's privilege ceiling on one hook.
 
@@ -90,7 +94,7 @@ class SetTenantPolicy:
         return f"tenant-policy  {action} {self.tenant} on {self.hook}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Install:
     name: str
     hook: str
@@ -106,7 +110,7 @@ class Install:
                 f"{self.image.image_hash[:12]} on {self.hook}{period}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Replace:
     name: str
     hook: str
@@ -117,7 +121,7 @@ class Replace:
                 f"{self.image.image_hash[:12]} on {self.hook}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detach:
     name: str
     hook: str
@@ -130,7 +134,7 @@ Action = Union[CreateTenant, RegisterHook, SetTenantPolicy, Install,
                Replace, Detach]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeploymentPlan:
     """The ordered action list converging one engine onto one spec."""
 
@@ -265,27 +269,67 @@ def plan(engine: "HostingEngine", spec: DeploymentSpec) -> DeploymentPlan:
 # -- applying -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplyResult:
-    """What one transactional apply did to the device."""
+    """What one transactional apply did to the device.
+
+    An apply runs every action of its plan or raises, so the plan is the
+    log: the tenants created, the slots detached and the keys of the
+    containers and timers are read off it.  The result stores only what
+    the plan cannot say.  It holds the containers weakly, so an update
+    history (a worker's ``results``) never keeps a container alive once
+    a later replace or detach has ended its tenant's ownership.
+    """
 
     plan: DeploymentPlan
-    #: (hook, name) -> container installed or replaced by this apply,
-    #: in action order.
-    containers: dict[tuple[str, str], "FemtoContainer"] = field(
-        default_factory=dict)
-    #: Cancel functions for periodic firings armed by this apply.
-    timers: dict[tuple[str, str], Callable[[], None]] = field(
-        default_factory=dict)
-    tenants_created: list[str] = field(default_factory=list)
-    detached: list[tuple[str, str]] = field(default_factory=list)
+    #: Weak references to the containers the plan's :class:`Install`
+    #: and :class:`Replace` actions put on hooks, in plan order.
+    container_refs: tuple["ref[FemtoContainer]", ...] = field(
+        default=(), repr=False)
+    #: Cancel functions of the periodic firings the plan's periodic
+    #: :class:`Install` actions armed, in plan order.
+    timer_cancels: tuple[Callable[[], None], ...] = field(
+        default=(), repr=False)
     #: Virtual cycles the whole apply charged (verify + install costs).
     cycles_charged: int = 0
+
+    def _keys(self, kind) -> list[tuple[str, str]]:
+        return [(action.hook, action.name) for action in self.plan.actions
+                if isinstance(action, kind)]
+
+    @property
+    def containers(self) -> dict[tuple[str, str], "FemtoContainer"]:
+        """(hook, name) -> container installed or replaced by this
+        apply, in action order, for the containers still alive."""
+        live = {}
+        for key, container_ref in zip(self._keys((Install, Replace)),
+                                      self.container_refs):
+            container = container_ref()
+            if container is not None:
+                live[key] = container
+        return live
 
     @property
     def attached(self) -> list["FemtoContainer"]:
         """Containers this apply put on hooks, in action order."""
         return list(self.containers.values())
+
+    @property
+    def timers(self) -> dict[tuple[str, str], Callable[[], None]]:
+        """(hook, name) -> cancel function of a firing this apply armed."""
+        armed = [(action.hook, action.name) for action in self.plan.actions
+                 if isinstance(action, Install)
+                 and action.period_us is not None]
+        return dict(zip(armed, self.timer_cancels))
+
+    @property
+    def tenants_created(self) -> list[str]:
+        return [action.tenant for action in self.plan.actions
+                if isinstance(action, CreateTenant)]
+
+    @property
+    def detached(self) -> list[tuple[str, str]]:
+        return self._keys(Detach)
 
 
 def _find_container(engine: "HostingEngine", hook_name: str,
@@ -296,6 +340,17 @@ def _find_container(engine: "HostingEngine", hook_name: str,
     raise AttachError(
         f"plan is stale: no container {name!r} on hook {hook_name!r}"
     )
+
+
+def _disown(container: "FemtoContainer") -> None:
+    if container.tenant is not None:
+        container.tenant.release(container)
+
+
+def _retire(engine: "HostingEngine", container: "FemtoContainer") -> None:
+    """Detach a slot's container and end its tenant's ownership."""
+    engine.detach(container)
+    _disown(container)
 
 
 #: Periodic firings armed by past applies, per engine, keyed like plan
@@ -325,7 +380,8 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
     by detaching the slot in one spec revision and re-adding it in the
     next, or cancel via the install's returned handle.)
     """
-    result = ApplyResult(plan=deployment)
+    installed: list["ref[FemtoContainer]"] = []
+    timer_cancels: list[Callable[[], None]] = []
     armed = _ARMED_TIMERS.setdefault(engine, {})
     undo: list[Callable[[], None]] = []
     deferred_cancels: list[Callable[[], None]] = []
@@ -335,7 +391,6 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
         for action in deployment.actions:
             if isinstance(action, CreateTenant):
                 engine.create_tenant(action.tenant)
-                result.tenants_created.append(action.tenant)
                 undo.append(lambda name=action.tenant:
                             engine.tenants.pop(name, None))
             elif isinstance(action, RegisterHook):
@@ -371,10 +426,14 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                     tenant=tenant, contract=action.contract,
                     name=action.name,
                 )
-                engine.attach(container, action.hook)
-                undo.append(lambda c=container: engine.detach(c))
+                try:
+                    engine.attach(container, action.hook)
+                except Exception:
+                    _disown(container)
+                    raise
+                undo.append(lambda c=container: _retire(engine, c))
                 key = (action.hook, action.name)
-                result.containers[key] = container
+                installed.append(ref(container))
                 if action.period_us is not None:
                     # A stale cadence can survive on this key when the
                     # slot's container was fault-detached by the engine
@@ -387,7 +446,7 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                     # and only arms the firing (the §8.3 sensor pattern).
                     cancel = engine.attach_periodic(
                         container, action.period_us, action.hook)
-                    result.timers[key] = cancel
+                    timer_cancels.append(cancel)
                     armed[key] = cancel
 
                     def _disarm(k=key, c=cancel) -> None:
@@ -403,13 +462,13 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
                     old, action.image.instantiate(action.name))
                 undo.append(lambda c=fresh, p=old_program:
                             engine.replace(c, p))
-                result.containers[(action.hook, action.name)] = fresh
+                installed.append(ref(fresh))
             elif isinstance(action, Detach):
                 container = _find_container(engine, action.hook, action.name)
-                engine.detach(container)
+                _retire(engine, container)
+                # Re-attaching restores the tenant's ownership.
                 undo.append(lambda c=container, h=action.hook:
                             engine.attach(c, h))
-                result.detached.append((action.hook, action.name))
                 # Pop the slot's armed cadence *now* (a later Install in
                 # this same plan may re-arm the same key) but cancel it
                 # only once the whole plan succeeded; rollback re-attaches
@@ -428,8 +487,9 @@ def apply(engine: "HostingEngine", deployment: DeploymentPlan) -> ApplyResult:
         raise
     for cancel in deferred_cancels:
         cancel()
-    result.cycles_charged = clock.cycles - cycles_before
-    return result
+    return ApplyResult(plan=deployment, container_refs=tuple(installed),
+                       timer_cancels=tuple(timer_cancels),
+                       cycles_charged=clock.cycles - cycles_before)
 
 
 def apply_spec(engine: "HostingEngine", spec: DeploymentSpec) -> ApplyResult:

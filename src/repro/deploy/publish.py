@@ -433,13 +433,23 @@ class FleetPublisher:
         """
 
         def handler(request: CoapMessage, _dg) -> None:
-            try:
-                body = cbor.decode(request.payload)
-                envelope = body["e"]
-            except Exception:
-                return None  # malformed broadcast: stay silent
-            worker.release_cache = self._release_cache
-            worker.trigger(envelope, payload=body.get("y"))
+            # Under release sharing every member decodes the broadcast
+            # once per publish: the decoded body, and so the one payload
+            # object the workers store, is shared (wall clock only).
+            cache = self._release_cache
+            key = ("trigger", request.payload)
+            body = cache.get(key) if cache is not None else None
+            if body is None:
+                try:
+                    body = cbor.decode(request.payload)
+                except Exception:
+                    return None  # malformed broadcast: stay silent
+                if not isinstance(body, dict) or "e" not in body:
+                    return None
+                if cache is not None:
+                    cache[key] = body
+            worker.release_cache = cache
+            worker.trigger(body["e"], payload=body.get("y"))
             rng = random.Random(
                 f"{self.seed}:{body.get('s', 0)}:{device.name}")
             if rng.random() * 1000 >= body.get("p", 0):
@@ -904,7 +914,7 @@ class FleetPublisher:
                     f"converged, but the supervisor quarantined {names} "
                     "as crash-looping",
                     manifest=row.result.manifest,
-                    container=row.result.container,
+                    container_ref=row.result.container_ref,
                     applied=row.result.applied,
                     duration_us=row.result.duration_us,
                 )

@@ -160,13 +160,15 @@ class Link:
 
         members = self._groups.get(dst_addr)
         if members is not None:
-            for member in members.values():
-                if member is src or member.receive is None:
-                    # The sender never hears itself; a dead radio is
-                    # skipped before the dice, like a missing unicast dst.
-                    continue
-                if any(self._rng.random() < self.loss
-                       for _ in range(fragments)):
+            # The sender never hears itself; a dead radio is skipped
+            # before the dice, like a missing unicast dst.
+            live = [member for member in members.values()
+                    if member is not src and member.receive is not None]
+            if not self.loss:
+                self._skip_dice(fragments * len(live))
+            for member in live:
+                if self.loss and any(self._rng.random() < self.loss
+                                     for _ in range(fragments)):
                     self.stats.frames_dropped += 1
                     continue
                 self.kernel.timers.set(
@@ -176,9 +178,23 @@ class Link:
         dst = self._interfaces.get(dst_addr)
         if dst is None:
             return  # no such destination: the frames vanish into the ether
-        for _ in range(fragments):
-            if self._rng.random() < self.loss:
-                self.stats.frames_dropped += 1
-                src.stats.frames_dropped += 1
-                return
+        if not self.loss:
+            self._skip_dice(fragments)
+        else:
+            for _ in range(fragments):
+                if self._rng.random() < self.loss:
+                    self.stats.frames_dropped += 1
+                    src.stats.frames_dropped += 1
+                    return
         self.kernel.timers.set(lambda: deliver_to(dst), airtime_us)
+
+    def _skip_dice(self, draws: int) -> None:
+        """Advance the loss stream past ``draws`` rolls in one call.
+
+        On a lossless link no roll can drop a frame, but the seeded
+        stream must still move exactly as far as ``draws`` calls to
+        ``random()`` (two 32-bit words each), so traffic after a later
+        change of ``loss`` meets the same dice.
+        """
+        if draws:
+            self._rng.getrandbits(64 * draws)

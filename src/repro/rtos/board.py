@@ -6,7 +6,7 @@ to CPU cycles, per VM implementation ("rbpf", "femto-containers", "certfc",
 "jit"), plus costs for helper system calls, hook dispatch and context
 switches.
 
-Calibration policy (see DESIGN.md §3): the Cortex-M4 constants are tuned
+Calibration policy: the Cortex-M4 constants are tuned
 once against the paper's *textual* anchors — Table 4 hook overheads (109
 empty / 1750 with thread-counter app), the ~27 µs thread-switch impact,
 Table 2's fletcher32 run time scale, Fig 8's per-instruction ordering

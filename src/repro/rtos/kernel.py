@@ -165,7 +165,7 @@ class Kernel:
 
     def _handle_syscall(self, thread: Thread, syscall) -> None:
         if isinstance(syscall, Exit) or syscall is None:
-            thread.state = ThreadState.ENDED
+            thread.end()
         elif isinstance(syscall, Sleep):
             thread.state = ThreadState.SLEEPING
             thread.wake_at_cycles = self.clock.cycles + self.clock.us_to_cycles(

@@ -118,8 +118,16 @@ class Thread:
         try:
             return self._gen.send(value)
         except StopIteration:
-            self.state = ThreadState.ENDED
+            self.end()
             return Exit()
+
+    def end(self) -> None:
+        """Terminate.  The thread stays in the kernel's process table,
+        but its body and generator — and whatever their closures hold,
+        such as a detached container — are released."""
+        self.state = ThreadState.ENDED
+        self._gen = None
+        self.body = None
 
     def deliver(self, value: object) -> None:
         """Set the value the next ``resume`` sends into the generator."""

@@ -4,7 +4,7 @@ Each candidate executes the *same* fletcher32 workload on its own engine
 (mini-wasm stack VM, script tree-walker, eBPF interpreter, native model)
 and reports the Table 1/2 metrics.  ROM footprints of the third-party C
 interpreters are documented profile constants (they cannot be derived from
-Python — see DESIGN.md §4); RAM and run/startup times are computed from
+Python); RAM and run/startup times are computed from
 the executed workload through per-class cycle models calibrated on the
 paper's Cortex-M4 measurements.
 """

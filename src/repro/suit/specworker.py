@@ -28,6 +28,7 @@ the two overridable steps differ:
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from repro.suit.manifest import (
@@ -106,6 +107,20 @@ class SpecUpdateWorker(SuitUpdateWorker):
             )
         return None, None
 
+    def _shared_plan(self, deployment):
+        """One plan object per distinct action list of one release.
+
+        Devices of one fleet usually plan the same actions; under release
+        sharing they share one read-only plan object, so every update
+        history holds one plan per publish instead of one per device.
+        """
+        if self.release_cache is None:
+            return deployment
+        # Actions are frozen value objects; the spec is the publish's one
+        # cached decoded spec, alive as long as the cache.
+        key = ("plan", id(deployment.spec), tuple(deployment.actions))
+        return self.release_cache.setdefault(key, deployment)
+
     def _activate(self, manifest: SuitManifest, target,
                   payload: bytes) -> UpdateResult:
         from repro.deploy.plan import apply, plan
@@ -129,7 +144,7 @@ class SpecUpdateWorker(SuitUpdateWorker):
             if self.release_cache is not None:
                 self.release_cache[("spec", payload)] = spec
         try:
-            deployment = plan(self.engine, spec)
+            deployment = self._shared_plan(plan(self.engine, spec))
             result = apply(self.engine, deployment)
         except SpecError as exc:
             return UpdateResult(UpdateStatus.SPEC_INVALID, str(exc),
@@ -137,11 +152,14 @@ class SpecUpdateWorker(SuitUpdateWorker):
         except Exception as exc:
             # apply() already rolled the device back transactionally.
             return UpdateResult(UpdateStatus.REJECTED, str(exc), manifest)
+        # Interned: a fleet's update histories hold one copy of each
+        # distinct message, not one per device.
         return UpdateResult(
             UpdateStatus.OK,
             ("converged — no actions"
              if deployment.empty
-             else f"reconciled through {len(deployment.actions)} actions"),
+             else sys.intern(
+                 f"reconciled through {len(deployment.actions)} actions")),
             manifest,
             applied=result,
         )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+from weakref import ref
 
 from repro.core.errors import UnknownHookError
 from repro.net.coap import CHANGED, BAD_REQUEST, CoapMessage
@@ -45,6 +46,7 @@ from repro.rtos.thread import Wait
 from repro.runtimes.base import container_runtime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.container import FemtoContainer
     from repro.core.engine import HostingEngine
     from repro.core.tenant import Tenant
     from repro.net.gcoap import CoapClient, CoapServer
@@ -100,12 +102,14 @@ class UpdateStatus(enum.Enum):
     QUARANTINED = "container-quarantined"
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateResult:
     status: UpdateStatus
     message: str = ""
     manifest: SuitManifest | None = None
-    container: object = None
+    #: Weak reference to the container an image update attached: an
+    #: update history must not keep a replaced container alive.
+    container_ref: "ref[FemtoContainer] | None" = None
     #: The :class:`~repro.deploy.plan.ApplyResult` of a spec update.
     applied: object = None
     duration_us: float = 0.0
@@ -113,6 +117,12 @@ class UpdateResult:
     @property
     def ok(self) -> bool:
         return self.status is UpdateStatus.OK
+
+    @property
+    def container(self) -> "FemtoContainer | None":
+        """The container an image update attached, while it is alive."""
+        return self.container_ref() if self.container_ref is not None \
+            else None
 
 
 class SuitUpdateWorker:
@@ -153,6 +163,11 @@ class SuitUpdateWorker:
             # Anti-rollback state must be live from the first instruction
             # after boot, before any trigger can race the restore.
             self.storage.restore()
+        #: Every outcome, oldest first.  The history does not own
+        #: containers: an image update's ``container`` and a spec
+        #: update's ``applied`` result hold them weakly, so a container
+        #: replaced by a later update is freed once its tenant releases
+        #: it (see :mod:`repro.core.tenant`).
         self.results: list[UpdateResult] = []
         #: Publish-scoped decode memo, set by the fleet control plane on
         #: the workers of one release's target devices (``None`` on a
@@ -493,4 +508,4 @@ class SuitUpdateWorker:
         except Exception as exc:  # pre-flight or policy rejection
             return UpdateResult(UpdateStatus.REJECTED, str(exc), manifest)
         return UpdateResult(UpdateStatus.OK, "installed and attached",
-                            manifest, container)
+                            manifest, ref(container))

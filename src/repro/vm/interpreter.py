@@ -23,9 +23,10 @@ into virtual clock ticks; the interpreter itself is time-agnostic, and the
 accounting is **engine-independent** — the template JIT and the CertFC
 build produce bit-identical :class:`ExecutionStats` for the same program.
 
-Per-run state is reused across executions: the register file and the
-zeroing template for the stack live on the instance, so a hosting engine
-firing hooks at high rate does not reallocate VM state per event.  The
+Per-run state is reused across executions: the register file lives on
+the instance and the stack's zeroing template is shared by every
+instance with the same stack size, so a hosting engine firing hooks at
+high rate does not reallocate VM state per event.  The
 :class:`ExecutionStats` object returned by :meth:`Interpreter.run` is
 always fresh (engines keep them in run histories), but its ``kind_counts``
 dict is cloned from a prebuilt zero table instead of rebuilt key by key.
@@ -34,6 +35,7 @@ dict is cloned from a prebuilt zero table instead of rebuilt key by key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from repro.vm import isa
 from repro.vm.errors import (
@@ -128,6 +130,12 @@ class ExecutionResult:
 _ZERO_KINDS = {kind: 0 for kind in isa.InstructionKind.ALL}
 
 
+@cache
+def _zero_stack(size: int) -> bytes:
+    """The zero template a run copies into the stack, one per size."""
+    return bytes(size)
+
+
 class Interpreter:
     """Baseline interpreter; also the base class for the CertFC variant.
 
@@ -155,9 +163,10 @@ class Interpreter:
         )
         self.access_list.add(self.stack)
         if program.rodata:
-            self.access_list.grant_bytes(
-                ".rodata", RODATA_BASE, program.rodata, Permission.READ
-            )
+            # Read-only: map the image's own bytes, shared by every
+            # instance of the image (see repro.vm.memory).
+            self.access_list.add(
+                MemoryRegion.shared(".rodata", RODATA_BASE, program.rodata))
         self.data_region: MemoryRegion | None = None
         if program.data:
             self.data_region = self.access_list.grant_bytes(
@@ -168,7 +177,7 @@ class Interpreter:
         self.services = None
         # Reusable per-run state (see the module docstring).
         self._regs: list[int] = [0] * isa.REG_COUNT
-        self._stack_zeros = bytes(self.config.stack_size)
+        self._stack_zeros = _zero_stack(self.config.stack_size)
 
     # -- engine-facing surface ---------------------------------------------
 

@@ -21,7 +21,12 @@ hottest path of the whole simulator, and it is engineered accordingly:
   :meth:`AccessList.remove`), including a ``bind_context`` remap;
 * :meth:`MemoryRegion.load` / :meth:`MemoryRegion.store` use preallocated
   :class:`struct.Struct` packers over a ``memoryview`` of the backing
-  buffer, so an access allocates no intermediate ``bytes`` slice.
+  buffer, so an access allocates no intermediate ``bytes`` slice;
+* a read-only section (an image's ``.rodata``) is backed by the image's
+  own immutable ``bytes`` (:meth:`MemoryRegion.shared`), so every
+  instance of one image maps the same buffer instead of a private copy.
+  Every write path tests the WRITE bit before touching a buffer, so a
+  store into a shared section still faults like any denied write.
 
 None of this changes what is checked: the permission model and the
 fault-at-the-boundary semantics are bit-identical to the reference linear
@@ -70,11 +75,15 @@ class Permission(IntFlag):
 
 @dataclass
 class MemoryRegion:
-    """A contiguous virtual region backed by a Python ``bytearray``."""
+    """A contiguous virtual region backed by a Python ``bytearray``.
+
+    A read-only region may instead be backed by immutable ``bytes``
+    shared with other regions (see :meth:`shared`).
+    """
 
     name: str
     start: int
-    data: bytearray
+    data: bytearray | bytes
     perms: Permission
 
     def __post_init__(self) -> None:
@@ -92,6 +101,16 @@ class MemoryRegion:
         cls, name: str, start: int, content: bytes, perms: Permission
     ) -> "MemoryRegion":
         return cls(name=name, start=start, data=bytearray(content), perms=perms)
+
+    @classmethod
+    def shared(cls, name: str, start: int, content: bytes) -> "MemoryRegion":
+        """A READ-only region over ``content`` itself, not a copy.
+
+        ``bytes(content)`` returns a ``bytes`` argument unchanged, so
+        every instance of one image shares that image's buffer.
+        """
+        return cls(name=name, start=start, data=bytes(content),
+                   perms=Permission.READ)
 
     @classmethod
     def zeroed(
@@ -227,13 +246,15 @@ class AccessList:
                     f"0x{addr:08x} outside all granted regions"
                 )
             self._mru = region
-        needed = Permission.WRITE if write else Permission.READ
+        # Plain bits (WRITE = 2, READ = 1): an IntFlag operand would
+        # build enum instances on every slow-path access.
+        needed = 2 if write else 1
         if region._perm_bits & needed:
             return region
         raise MemoryFault(
             f"{'write' if write else 'read'} of {size} B at "
             f"0x{addr:08x} denied: region {region.name!r} lacks "
-            f"{needed.name} permission"
+            f"{Permission(needed).name} permission"
         )
 
     def load(self, addr: int, size: int) -> int:

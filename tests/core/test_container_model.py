@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core import ContainerState, FC_HOOK_TIMER, Tenant
+import pytest
+
+from repro.core import AttachError, ContainerState, FC_HOOK_TIMER, Tenant
 from repro.core.container import VM_CLASSES, FemtoContainer
 from repro.vm import assemble
 
@@ -62,3 +64,56 @@ loop:
         from repro.vm.helpers import BPF_STORE_GLOBAL
 
         assert container.lifetime_stats.helper_calls[BPF_STORE_GLOBAL] == 2
+
+
+class TestTenantOwnership:
+    """A tenant owns what it holds now, not every container it ever had."""
+
+    def _slot(self, engine, value=1):
+        tenant = engine.create_tenant("t")
+        container = engine.load(assemble(f"mov r0, {value}\n    exit"),
+                                tenant=tenant, name="slot")
+        engine.attach(container, FC_HOOK_TIMER)
+        return tenant, container
+
+    def test_ram_bytes_constant_across_replaces(self, engine):
+        tenant, container = self._slot(engine)
+        container = engine.replace(container, assemble("mov r0, 2\n    exit"))
+        after_one = tenant.ram_bytes
+        for value in range(3, 10):
+            container = engine.replace(
+                container, assemble(f"mov r0, {value}\n    exit"))
+        assert tenant.ram_bytes == after_one
+        assert tenant.containers == [container]
+
+    def test_replace_releases_the_old_container(self, engine):
+        tenant, old = self._slot(engine)
+        fresh = engine.replace(old, assemble("mov r0, 2\n    exit"))
+        assert old not in tenant.containers
+        assert fresh in tenant.containers
+
+    def test_failed_replace_leaves_ownership_unchanged(self, engine):
+        tenant, old = self._slot(engine)
+        before = list(tenant.containers)
+        ram_before = tenant.ram_bytes
+        with pytest.raises(AttachError, match="rejected"):
+            engine.replace(old, assemble("mov r10, 1\n    exit"))
+        assert tenant.containers == before == [old]
+        assert tenant.ram_bytes == ram_before
+
+    def test_quarantine_keeps_ownership(self, engine):
+        """Detaching (the supervisor's quarantine) is not a release."""
+        tenant, container = self._slot(engine)
+        engine.detach(container)
+        assert tenant.containers == [container]
+
+    def test_identity_not_field_equality(self):
+        """Two containers stamped from one image are distinct members."""
+        tenant = Tenant(name="t")
+        program = assemble("exit")
+        first = FemtoContainer(name="c", program=program, tenant=tenant)
+        second = FemtoContainer(name="c", program=program, tenant=tenant)
+        assert first != second
+        assert tenant.containers == [first, second]
+        tenant.release(second)
+        assert tenant.containers == [first]

@@ -326,6 +326,60 @@ class TestTransactionalApply:
         assert plan(engine, spec).empty
 
 
+class TestOwnership:
+    """A plan's Replace and Detach end a tenant's ownership; a rollback
+    that re-attaches a container restores it."""
+
+    def test_detach_releases_and_rollback_restores(self, engine):
+        spec = two_container_spec()
+        apply_spec(engine, spec)
+        bob = engine.tenants["bob"]
+        second = bob.containers[0]
+        shrunk = DeploymentSpec(
+            name=spec.name, tenants=spec.tenants, images=dict(spec.images),
+            attachments=spec.attachments[:1])
+        apply_spec(engine, shrunk)
+        assert bob.containers == []
+        # Detach then fail: the rollback re-attaches the slot's container.
+        apply_spec(engine, spec)
+        second = bob.containers[0]
+        poisoned = DeploymentSpec(
+            name=spec.name, tenants=spec.tenants,
+            images={**spec.images,
+                    "bad": ImageSpec.from_program(assemble(UNVERIFIABLE))},
+            attachments=(spec.attachments[0], AttachmentSpec(
+                image="bad", hook=FC_HOOK_TIMER, tenant="alice",
+                name="bad")))
+        with pytest.raises(AttachError):
+            apply_spec(engine, poisoned)
+        assert bob.containers == [second]
+        assert engine.tenants["alice"].containers == [
+            c for c in engine.containers() if c.name == "first"]
+
+    def test_failed_install_is_not_owned(self, engine):
+        with pytest.raises(AttachError):
+            apply_spec(engine, TestTransactionalApply().poisoned_spec())
+        assert engine.containers() == []
+        # The tenant itself was rolled back; nothing it loaded survives.
+        assert "alice" not in engine.tenants
+
+    def test_result_does_not_keep_replaced_containers_alive(self, engine):
+        import gc
+        import weakref
+
+        first = apply_spec(engine, two_container_spec())
+        replaced = weakref.ref(first.containers[(FC_HOOK_TIMER, "second")])
+        assert list(first.containers) == [(FC_HOOK_TIMER, "first"),
+                                          (FC_HOOK_TIMER, "second")]
+        apply_spec(engine, two_container_spec("mov r0, 9\n    exit"))
+        engine.kernel.run_until_idle()  # the old worker thread exits
+        gc.collect()
+        assert replaced() is None
+        # The untouched slot is still reported; the replaced one is gone.
+        assert list(first.containers) == [(FC_HOOK_TIMER, "first")]
+        assert len(first.plan.actions) == 4
+
+
 class TestImperativeEquivalence:
     """A spec-built device must be indistinguishable — virtual clock
     included — from the same device built by hand-wired engine calls."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.net import Interface, Link, UdpStack
@@ -118,3 +120,51 @@ class TestPerInterfaceStats:
         assert dead.stats.datagrams_delivered == 0
         assert reborn.stats.datagrams_delivered == 0
         assert link.stats.datagrams_delivered == 0
+
+
+class TestLosslessDice:
+    """A lossless link skips its loss rolls in one call, but must leave
+    the seeded stream exactly where per-fragment rolls would."""
+
+    MEMBERS = 6
+    PAYLOAD = bytes(FRAME_PAYLOAD * 3 + 5)  # 4 fragments
+
+    def _group(self, kernel, seed):
+        link = Link(kernel, loss=0.0, seed=seed)
+        src = link.attach(Interface("src"))
+        heard: list[str] = []
+        for index in range(self.MEMBERS):
+            member = link.attach(Interface(f"m{index}"))
+            member.receive = (
+                lambda data, src_addr, name=member.addr: heard.append(name))
+            link.join("ff02::fc", member)
+        link.join("ff02::fc", src)  # the sender never hears itself
+        return link, src, heard
+
+    def test_lossless_then_lossy_matches_per_draw_reference(self, kernel):
+        link, src, heard = self._group(kernel, seed=29)
+        reference = random.Random(29)
+        fragments = -(-len(self.PAYLOAD) // FRAME_PAYLOAD)
+
+        link.transmit(src, "ff02::fc", self.PAYLOAD)
+        for _ in range(self.MEMBERS * fragments):
+            reference.random()
+        assert link._rng.getstate() == reference.getstate()
+        link.transmit(src, "src", self.PAYLOAD)  # lossless unicast
+        for _ in range(fragments):
+            reference.random()
+        assert link._rng.getstate() == reference.getstate()
+        kernel.run_until_idle()
+        assert heard == [f"m{index}" for index in range(self.MEMBERS)]
+
+        link.loss = 0.2
+        heard.clear()
+        link.transmit(src, "ff02::fc", self.PAYLOAD)
+        kernel.run_until_idle()
+        expected = [
+            f"m{index}" for index in range(self.MEMBERS)
+            if not any(reference.random() < 0.2 for _ in range(fragments))
+        ]
+        assert heard == expected
+        assert 0 < len(expected) < self.MEMBERS  # the seed exercises both
+        assert link.stats.frames_dropped == self.MEMBERS - len(expected)

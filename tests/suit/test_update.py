@@ -147,6 +147,24 @@ class TestWorker:
         container = engine.hook(FC_HOOK_TIMER).containers[0]
         assert engine.execute(container).value == 2
 
+    def test_history_does_not_keep_replaced_containers(self, deployment):
+        import gc
+
+        kernel, engine, repo, worker = deployment
+        v1 = assemble("mov r0, 1\n    exit").to_bytes()
+        v2 = assemble("mov r0, 2\n    exit").to_bytes()
+        assert deploy(kernel, repo, worker, v1,
+                      manifest_for(engine, v1, seq=1, uri="/fw/v1")).ok
+        first = worker.results[-1]
+        assert first.container is engine.hook(FC_HOOK_TIMER).containers[0]
+        assert deploy(kernel, repo, worker, v2,
+                      manifest_for(engine, v2, seq=2, uri="/fw/v2")).ok
+        kernel.run_until_idle()  # the replaced worker thread exits
+        gc.collect()
+        assert first.container is None
+        assert worker.results[-1].container \
+            is engine.hook(FC_HOOK_TIMER).containers[0]
+
     def test_forged_signature_rejected(self, deployment):
         kernel, engine, repo, worker = deployment
         payload = assemble("mov r0, 1\n    exit").to_bytes()

@@ -104,6 +104,22 @@ class TestProbation:
         # And the re-armed container runs again.
         assert engine.execute(container, context=GOOD).ok
 
+    def test_quarantine_and_probation_keep_one_ownership(self, board_m4):
+        """A quarantined container stays its tenant's; the probation
+        re-attach neither drops nor duplicates that ownership."""
+        engine = make_engine(board_m4, fault_streak=2,
+                             probation_base_us=1_000.0)
+        tenant = engine.create_tenant("t")
+        container = engine.attach(
+            engine.load(assemble(CONDITIONAL), tenant=tenant), FC_HOOK_TIMER)
+        for _ in range(2):
+            engine.execute(container, context=BAD)
+        assert container.state is ContainerState.DETACHED
+        assert tenant.containers == [container]
+        engine.kernel.run(until_us=engine.kernel.now_us + 2_000.0)
+        assert container.state is ContainerState.ATTACHED
+        assert tenant.containers == [container]
+
     def test_probation_attach_charges_cycles(self, board_m4):
         engine = make_engine(board_m4, fault_streak=1,
                              probation_base_us=1_000.0)
