@@ -22,11 +22,11 @@ hash, not Python object identity.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import HostingEngine
 from repro.rtos import Kernel, nrf52840
 from repro.vm import Program
@@ -96,7 +96,8 @@ def test_attach_guard():
     results = {name: _measure(name, raw) for name in ENGINES}
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": "fletcher32 image, fresh Program per attach",
             "unit": "microseconds wall per attach (min of trials)",
@@ -104,8 +105,7 @@ def test_attach_guard():
             "engines": results,
             "jit_speedup_bar": JIT_SPEEDUP_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     # The cache must amortize the JIT's install work across instances.
     assert results["jit"]["speedup"] >= JIT_SPEEDUP_BAR, results["jit"]

@@ -15,10 +15,10 @@ recorded to ``BENCH_canary.json`` at the repository root:
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -130,7 +130,8 @@ def test_canary_guard():
     cold = min(cold_walls)
     best = [min(walls) for walls in control_walls]
     speedups = [cold / wall for wall in best]
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{TENANTS} tenants x {INSTANCES} instances of "
                          f"fletcher32 per device, {DEVICES}-device fleet, "
@@ -153,8 +154,7 @@ def test_canary_guard():
             ],
             "promoted_speedup_bar": PROMOTED_SPEEDUP_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     for index, speedup in enumerate(speedups, start=CANARIES):
         assert speedup >= PROMOTED_SPEEDUP_BAR, (

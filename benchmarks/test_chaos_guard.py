@@ -17,10 +17,10 @@ holds the self-healing convergence invariant and records it to
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -105,7 +105,8 @@ def test_chaos_guard():
     demo = _unreachable_demo()
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{DEVICES}-device fleet publish at {LOSS:.0%} "
                          "frame loss with two scripted mid-update power "
@@ -120,8 +121,7 @@ def test_chaos_guard():
             "retriggers": trial["retriggers"],
             "unreachable_demo": demo,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     assert trial["devices_converged"] == DEVICES, (
         f"only {trial['devices_converged']}/{DEVICES} devices converged "

@@ -15,10 +15,10 @@ cold (asserted on every trial).
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.deploy import Fleet, fanout_spec
 from repro.vm.imagecache import IMAGE_CACHE
 from repro.workloads.fletcher32 import fletcher32_program
@@ -62,7 +62,8 @@ def test_deploy_guard():
 
     best = [min(times) for times in per_device]
     speedups = [best[0] / wall for wall in best[1:]]
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{TENANTS} tenants x {INSTANCES} instances of "
                          f"fletcher32 per device, {DEVICES}-device fleet"),
@@ -80,8 +81,7 @@ def test_deploy_guard():
             "cycles_per_device": cycles[0],
             "warm_speedup_bar": WARM_SPEEDUP_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     # Every cache-warm device must beat the cold device by the bar.
     for index, speedup in enumerate(speedups, start=1):

@@ -19,10 +19,10 @@ Both bars are re-derived and enforced by ``tools/check_bench.py``.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -116,7 +116,8 @@ def test_fleet_scale_guard():
     scale_trigger = scale["trigger_tx_bytes"] / DEVICES
     ratio = scale_trigger / unicast_trigger
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{IMAGES} x {RODATA_BYTES} B images, one signed "
                          f"spec release published to {DEVICES} devices over "
@@ -142,8 +143,7 @@ def test_fleet_scale_guard():
             "trigger_bytes_ratio": round(ratio, 4),
             "trigger_bytes_ratio_bar": TRIGGER_BYTES_RATIO_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     assert speedup >= SCALE_SPEEDUP_BAR, (
         f"scale profile converged only {speedup:.2f}x the unicast baseline "

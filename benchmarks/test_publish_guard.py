@@ -16,10 +16,10 @@ guard holds the cache-warm convergence invariant and records it to
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -110,7 +110,8 @@ def test_publish_guard():
     best = [min(walls) for walls in device_walls]
     cold = best[0]
     speedups = [cold / wall for wall in best[1:]]
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{TENANTS} tenants x {IMAGES} distinct fletcher32 "
                          f"images per device, {DEVICES}-device fleet, "
@@ -132,8 +133,7 @@ def test_publish_guard():
             ],
             "warm_speedup_bar": WARM_SPEEDUP_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     for index, speedup in enumerate(speedups, start=1):
         assert speedup >= WARM_SPEEDUP_BAR, (

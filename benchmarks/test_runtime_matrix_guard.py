@@ -14,10 +14,10 @@ cheapest hook-path runtime, which is why the paper picks it.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT, HostingEngine
 from repro.core.hooks import Hook, HookMode
 from repro.deploy import ImageSpec
@@ -83,7 +83,8 @@ def test_runtime_matrix_guard():
         assert row["value"] == ref, (runtime, hex(row["value"]))
         row["checksum"] = f"0x{row.pop('value'):08x}"
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": "fletcher32 (360 B input), jit engine",
             "unit": "modelled board cycles",
@@ -98,8 +99,7 @@ def test_runtime_matrix_guard():
             ),
             "exec_overhead_bar": 1.0,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     # The §6 ordering: per-run cost script > wasm > rbpf, full stop.
     assert (rows["script"]["exec_cycles"]

@@ -87,7 +87,7 @@ def test_relative_wall_speed(benchmark):
         ["Engine", "instructions / wall second"],
         [[name, f"{rate:,.0f}"] for name, rate in rows.items()],
         title="Simulator wall-clock throughput (host-dependent)",
-    ))
+    ), host_dependent=True)
     # The template JIT must beat the pre-decoded interpreter by at least
     # 3x in wall time (the acceptance bar for the install-time-transpile
     # design point; it typically lands near 4x).

@@ -19,10 +19,10 @@ root:
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
+from conftest import record_bench
 from repro.core import FC_HOOK_FANOUT, HostingEngine
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -116,7 +116,8 @@ def test_supervisor_guard():
     IMAGE_CACHE.clear()  # leave no benchmark state behind for other tests
     ratio = supervised / unsupervised
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": (f"{DEVICES}-device fleet publish around a "
                          "crash-looping resident container, plus "
@@ -131,8 +132,7 @@ def test_supervisor_guard():
             "waste_ratio": round(ratio, 4),
             "waste_ratio_bar": WASTE_RATIO_BAR,
         },
-        indent=2,
-    ) + "\n")
+    )
 
     assert publish["devices_converged"] == DEVICES
     assert publish["quarantined_devices"] == 1

@@ -16,11 +16,11 @@ absolute number.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
+from conftest import record_bench
 from repro.vm import CertFCInterpreter, Interpreter, compile_program
 from repro.vm.memory import Permission
 from repro.workloads.fletcher32 import (
@@ -63,7 +63,8 @@ def _throughput(factory) -> float:
 def test_throughput_guard():
     rates = {name: _throughput(factory) for name, factory in _ENGINES.items()}
 
-    RESULT_PATH.write_text(json.dumps(
+    record_bench(
+        RESULT_PATH,
         {
             "workload": "fletcher32 (360 B input)",
             "unit": "instructions per wall second",
@@ -73,8 +74,7 @@ def test_throughput_guard():
                 rates["jit"] / rates["interpreter"], 2
             ),
         },
-        indent=2,
-    ) + "\n")
+    )
 
     # The install-time template JIT must out-run the interpreter, full stop.
     assert rates["jit"] > rates["interpreter"], rates

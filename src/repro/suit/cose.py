@@ -16,11 +16,12 @@ TAG_SIGN1 = 18
 
 #: Host-side verification memo, keyed by a digest of (message, signature,
 #: public key).  A fleet publish hands the *same* envelope to N simulated
-#: devices; the pure-Python Ed25519 math is the dominant host cost of
-#: each device's verify, and — like the image cache — sharing it is a
-#: wall-clock effect only: every device still charges the full modelled
-#: ``SIG_VERIFY_CYCLES`` on its own virtual clock.  Only successful
-#: verifications are memoized (a forgery is re-checked every time).
+#: devices; one pure-Python Ed25519 verify costs a few milliseconds, which
+#: is still worth sharing across a 1,000-device fleet.  Like the image
+#: cache, sharing it is a wall-clock effect only: every device still
+#: charges the full modelled ``SIG_VERIFY_CYCLES`` on its own virtual
+#: clock.  Only successful verifications are memoized (a forgery is
+#: re-checked every time).
 _VERIFY_MEMO: "OrderedDict[bytes, bool]" = OrderedDict()
 _VERIFY_MEMO_MAX = 256
 
@@ -49,8 +50,15 @@ class CoseSign1:
         return cls(protected=protected, payload=payload, signature=signature)
 
     def verify(self, public_key: bytes) -> bool:
-        """True when the signature validates under ``public_key``."""
-        header = cbor.decode(self.protected)
+        """True when the signature validates under ``public_key``.
+
+        A protected header that does not decode is a failed verification,
+        not an exception: the bytes come straight off the wire.
+        """
+        try:
+            header = cbor.decode(self.protected)
+        except (cbor.CBORError, ValueError, RecursionError):
+            return False
         if not isinstance(header, dict) or header.get(HEADER_ALG) != ALG_EDDSA:
             return False
         message = self._sig_structure(self.protected, self.payload)

@@ -87,6 +87,17 @@ class TestSignVerify:
         bad = ed25519.sign(b"m", self.SEED)[:32] + b"\xff" * 32
         assert not ed25519.verify(b"m", bad, public)
 
+    def test_small_order_key_and_nonce_rejected(self):
+        # A = R = the order-4 point (y = 0) with s = 0 satisfies the
+        # cofactored equation for every message; like libsodium, verify
+        # refuses small-order points instead of accepting anything.
+        for message in (b"", b"any manifest at all"):
+            assert not ed25519.verify(message, bytes(64), bytes(32))
+        signed = CoseSign1.sign(b"payload", self.SEED)
+        forged = CoseSign1(protected=signed.protected, payload=b"evil",
+                           signature=bytes(64))
+        assert not forged.verify(bytes(32))
+
     def test_bad_seed_length_raises(self):
         with pytest.raises(ValueError):
             ed25519.sign(b"m", b"short")
@@ -127,6 +138,19 @@ class TestCose:
                            payload=signed.payload,
                            signature=signed.signature)
         assert not hacked.verify(public)
+
+    @pytest.mark.parametrize("protected", [
+        b"\xff",                        # reserved initial byte
+        b"\x61\xff",                    # text string, invalid UTF-8
+        b"\xa1\x01",                    # map truncated after its key
+        b"\x81" * 5000 + b"\x00",       # nested past the recursion limit
+    ], ids=["reserved", "bad-utf8", "truncated", "deep"])
+    def test_undecodable_protected_header_fails_verify(self, protected):
+        public = ed25519.public_key(self.SEED)
+        signed = CoseSign1.sign(b"payload", self.SEED)
+        hacked = CoseSign1(protected=protected, payload=signed.payload,
+                           signature=signed.signature)
+        assert hacked.verify(public) is False
 
     def test_malformed_structures_rejected(self):
         from repro.suit import cbor

@@ -15,6 +15,7 @@ from repro.core import FC_HOOK_SCHED, FC_HOOK_TIMER
 from repro.deploy import AttachmentSpec, DeploymentSpec, ImageSpec
 from repro.net import CoapClient, CoapServer, Interface, Link, UdpStack
 from repro.suit import (
+    CoseSign1,
     SpecUpdateWorker,
     SuitEnvelope,
     SuitManifest,
@@ -284,6 +285,47 @@ class TestReservationRelease:
                 SEED).encode())
         assert result.status is UpdateStatus.FETCH_FAILED
         assert worker.storage.slot(location).image == v1
+
+
+class TestMalformedProtectedHeader:
+    """A COSE protected header that is not CBOR is a typed refusal, not an
+    exception out of the kernel, and the next valid update still lands."""
+
+    REFUSED = (UpdateStatus.MALFORMED, UpdateStatus.SIGNATURE_INVALID)
+
+    @staticmethod
+    def _undecodable_header(envelope: SuitEnvelope) -> bytes:
+        auth = envelope.auth
+        return SuitEnvelope(auth=CoseSign1(
+            protected=b"\xff", payload=auth.payload,
+            signature=auth.signature)).encode()
+
+    def test_image_worker_refuses_then_installs(self, kernel, engine):
+        repo, worker = make_rig(kernel, engine, SuitUpdateWorker)
+        payload = assemble("mov r0, 1\n    exit").to_bytes()
+        manifest = image_manifest(engine, payload)
+        repo.register_blob(manifest.uri, lambda: payload)
+        envelope = SuitEnvelope.create(manifest, SEED)
+        result = run_update(kernel, worker,
+                            self._undecodable_header(envelope))
+        assert result.status in self.REFUSED
+        assert not engine.hook(FC_HOOK_TIMER).occupied
+
+        assert run_update(kernel, worker, envelope.encode()).ok
+        assert engine.hook(FC_HOOK_TIMER).occupied
+
+    def test_spec_worker_refuses_then_installs(self, kernel, engine):
+        repo, worker = make_rig(kernel, engine, SpecUpdateWorker)
+        envelope, payload = sign_spec(spec_bytes(), 1, "/specs/dev", SEED)
+        repo.register_blob("/specs/dev", lambda: payload)
+        result = run_update(
+            kernel, worker,
+            self._undecodable_header(SuitEnvelope.decode(envelope)))
+        assert result.status in self.REFUSED
+        assert not engine.tenants
+
+        assert run_update(kernel, worker, envelope).ok
+        assert engine.tenants
 
 
 class TestRegistryBehaviour:
