@@ -31,8 +31,8 @@ imperative ``create_tenant``/``load``/``attach`` primitives:
   devices at runtime, :meth:`~ControlPlane.submit` specs into signed
   :class:`Release` records, publish/canary with the fleet-scale
   profile (:meth:`PublishOptions.scale`: multicast trigger with the
-  integrated payload, sharded co-run, shared release decode) and
-  stream typed :class:`DeviceStatus` rows.
+  integrated payload, sharded co-run) and stream typed
+  :class:`DeviceStatus` rows.
 
 Applying an unchanged spec twice plans zero actions; editing one image
 plans exactly one replace.  See the module docstrings for the full

@@ -16,7 +16,7 @@ owns the whole lifecycle behind one typed API:
 * **publish/canary orchestration** — :meth:`publish` and
   :meth:`canary` drive :meth:`FleetPublisher.publish` with the
   fleet-scale profile (multicast trigger + integrated payload, sharded
-  co-run, shared release decode) by default;
+  co-run) by default;
 * **streamed status** — :meth:`status` yields one typed
   :class:`DeviceStatus` row per device, registry order, cheap enough
   to call at N=1000.

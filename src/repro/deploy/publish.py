@@ -108,10 +108,12 @@ class PublishOptions:
     """Every knob of one :meth:`FleetPublisher.publish`, in one place.
 
     The defaults reproduce the historical keyword-argument behavior
-    exactly (unicast triggers, single-shard co-run, no cross-device
-    decode sharing); :meth:`scale` turns on the fleet-scale path.  The
-    old keyword arguments are still accepted by ``publish`` (with a
-    :class:`DeprecationWarning`) and are folded into an options value.
+    exactly (unicast triggers, single-shard co-run); :meth:`scale` turns
+    on the fleet-scale path.  Every publish, whatever its options,
+    decodes the release once and shares the decoded objects across its
+    target workers (wall-clock only).  The old keyword arguments are
+    still accepted by ``publish`` (with a :class:`DeprecationWarning`)
+    and are folded into an options value.
     """
 
     #: Explicit sequence number (``None``: next maintainer epoch).
@@ -150,22 +152,18 @@ class PublishOptions:
     mcast_grace_us: float = 2_000_000.0
     #: Co-run shard count (``None``: auto-sized from the fleet).
     shards: int | None = 1
-    #: Share one decoded envelope/spec across the target workers for
-    #: this publish (wall-clock only; modelled cycles are unaffected).
-    share_release: bool = False
 
     @classmethod
     def legacy(cls, **overrides) -> "PublishOptions":
-        """The historical behavior, spelled out (the bench baseline)."""
-        return cls(**{"multicast": False, "shards": 1,
-                      "share_release": False, **overrides})
+        """The historical behavior, spelled out (the bench baseline):
+        unicast triggers and one co-run shard."""
+        return cls(**{"multicast": False, "shards": 1, **overrides})
 
     @classmethod
     def scale(cls, **overrides) -> "PublishOptions":
         """The fleet-scale profile: one broadcast trigger with the
-        integrated payload, auto-sized shards, shared release decode."""
-        return cls(**{"multicast": True, "shards": None,
-                      "share_release": True, **overrides})
+        integrated payload and auto-sized shards."""
+        return cls(**{"multicast": True, "shards": None, **overrides})
 
 
 @dataclass
@@ -353,9 +351,10 @@ class FleetPublisher:
         self._used_multicast = False
         #: Radio bytes spent on trigger fan-out this publish.
         self.trigger_tx_bytes = 0
-        #: Publish-scoped decode memo handed to target workers when the
-        #: options ask for release sharing (``None`` otherwise).
-        self._release_cache: dict | None = None
+        #: Publish-scoped decode memo: every wired worker holds this one
+        #: dict (see ``SuitUpdateWorker.release_cache``), and each
+        #: publish clears it, so it holds one release at a time.
+        self._release_cache: dict = {}
         self.repo.register(ACK_PATH, self._handle_mcast_ack)
         self.trust_anchor = ed25519.public_key(maintainer_seed)
         self._max_storage_slots = max_storage_slots
@@ -409,6 +408,7 @@ class FleetPublisher:
             max_storage_slots=self._max_storage_slots,
             storage_gc_horizon=self._storage_gc_horizon,
             nvm=device.nvm,
+            release_cache=self._release_cache,
         )
         worker.register_trigger_resource(server, TRIGGER_PATH)
         self.link.join(GROUP_ADDR, iface)
@@ -433,12 +433,11 @@ class FleetPublisher:
         """
 
         def handler(request: CoapMessage, _dg) -> None:
-            # Under release sharing every member decodes the broadcast
-            # once per publish: the decoded body, and so the one payload
-            # object the workers store, is shared (wall clock only).
-            cache = self._release_cache
+            # The broadcast is decoded once per publish: the decoded
+            # body, and so the one payload object the workers store, is
+            # shared through the release cache (wall clock only).
             key = ("trigger", request.payload)
-            body = cache.get(key) if cache is not None else None
+            body = self._release_cache.get(key)
             if body is None:
                 try:
                     body = cbor.decode(request.payload)
@@ -446,9 +445,7 @@ class FleetPublisher:
                     return None  # malformed broadcast: stay silent
                 if not isinstance(body, dict) or "e" not in body:
                     return None
-                if cache is not None:
-                    cache[key] = body
-            worker.release_cache = cache
+                self._release_cache[key] = body
             worker.trigger(body["e"], payload=body.get("y"))
             rng = random.Random(
                 f"{self.seed}:{body.get('s', 0)}:{device.name}")
@@ -565,11 +562,6 @@ class FleetPublisher:
         use_mcast = (options.multicast
                      and len(devices) == len(self.fleet.devices))
         if not use_mcast:
-            if options.share_release and self._release_cache is not None:
-                for device in devices:
-                    if device.radio is not None:
-                        device.radio.worker.release_cache = \
-                            self._release_cache
             for device in devices:
                 self._triggers[device.name] = {
                     "envelope": envelope,
@@ -781,8 +773,6 @@ class FleetPublisher:
                     # worker, storage restored from NVM.
                     entry["worker"] = worker
                     entry["results_before"] = len(worker.results)
-                    if options.share_release:
-                        worker.release_cache = self._release_cache
                     if holds_sequence(worker):
                         # The install hit flash before the lights went
                         # out; recovery re-activated it.  Converged.
@@ -968,7 +958,7 @@ class FleetPublisher:
         self.trigger_tx_bytes = 0
         self._used_multicast = False
         self._mcast_ack_due.clear()
-        self._release_cache = {} if options.share_release else None
+        self._release_cache.clear()
         envelope, payload, sequence_number = self._sign(
             spec, options.sequence_number, options.signer_seed)
         result = PublishResult(spec=spec, sequence_number=sequence_number,

@@ -25,6 +25,7 @@ systems (the §8.3 / Fig 5 multi-tenant device and the image fan-out).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
@@ -37,6 +38,7 @@ from repro.core.hooks import (
     HookMode,
 )
 from repro.core.policy import ContainerContract, HookPolicy, MemoryGrant
+from repro.vm.imagecache import IMAGE_CACHE
 from repro.vm.memory import Permission
 from repro.vm.program import Program
 
@@ -102,19 +104,28 @@ class ImageSpec:
         objects, so sharing is as safe as sharing the bytes — with the
         content-hash cache pre-seeded so attaching N instances neither
         re-decodes nor re-hashes the image.  Non-rBPF images decode
-        through their registered runtime.
+        through their registered runtime once per *content*: the
+        process-wide image cache keeps the decoded image under its
+        tagged hash, and each instance is a shallow copy with its own
+        ``name`` sharing the read-only parse (script AST, Wasm module).
+        The runtime still charges its full parse/startup cycles at every
+        attach, so this is wall-clock only.
         """
         if self.runtime != "rbpf":
-            from repro.runtimes.base import container_runtime
-
-            return container_runtime(self.runtime).decode(
-                self.text, name=name or self.name,
-                rodata=self.rodata, data=self.data,
-            )
+            image = copy.copy(IMAGE_CACHE.image(self.image_hash, self._decode))
+            image.name = name or self.name
+            return image
         program = Program(slots=list(self._slots), rodata=self.rodata,
                           data=self.data, name=name or self.name)
         program.seed_hash_cache(self.image_hash)
         return program
+
+    def _decode(self):
+        """Decode these bytes through the image's registered runtime."""
+        from repro.runtimes.base import container_runtime
+
+        return container_runtime(self.runtime).decode(
+            self.text, name=self.name, rodata=self.rodata, data=self.data)
 
     @cached_property
     def _slots(self) -> list:

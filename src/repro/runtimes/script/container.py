@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 from repro.runtimes.base import RUNTIME_SCRIPT, tagged_image_hash
 from repro.runtimes.profiles import MICROPYTHON_PROFILE, ScriptProfile
 from repro.runtimes.script.interp import Interpreter, ScriptRuntimeError
-from repro.runtimes.script.lexer import tokenize
 from repro.runtimes.script.parser import parse
 from repro.vm.errors import (
     BranchLimitFault,
@@ -60,7 +59,7 @@ class ScriptImage:
         # Parsing is the pre-flight check: a payload that does not parse
         # never reaches a hook.  The token count feeds the startup model.
         self.script = parse(self.source)
-        self.tokens = len(tokenize(self.source))
+        self.tokens = self.script.token_count
         self.name = name
         self._hash: str | None = None
 

@@ -1,4 +1,9 @@
-"""AST node types for the mini scripting language."""
+"""AST node types for the mini scripting language.
+
+Nodes are frozen: one parsed script is shared by every container
+instance of its image (see :meth:`repro.deploy.spec.ImageSpec.instantiate`),
+so nothing may rebind a field after the parser builds it.
+"""
 
 from __future__ import annotations
 
@@ -11,26 +16,26 @@ class Node:
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Literal(Node):
     value: object
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Name(Node):
     identifier: str
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Unary(Node):
     operator: str
     operand: Node
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Binary(Node):
     operator: str
     left: Node
@@ -38,35 +43,35 @@ class Binary(Node):
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Index(Node):
     subject: Node
     index: Node
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Node):
     callee: str
     arguments: list[Node] = field(default_factory=list)
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class VarDecl(Node):
     name: str
     initializer: Node | None = None
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign(Node):
     name: str
     value: Node
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class If(Node):
     condition: Node
     then_body: list[Node] = field(default_factory=list)
@@ -74,14 +79,14 @@ class If(Node):
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class While(Node):
     condition: Node
     body: list[Node] = field(default_factory=list)
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncDecl(Node):
     name: str
     parameters: list[str] = field(default_factory=list)
@@ -89,19 +94,19 @@ class FuncDecl(Node):
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Return(Node):
     value: Node | None = None
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExprStatement(Node):
     expression: Node = None  # type: ignore[assignment]
     line: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Script(Node):
     """A whole program: a statement list."""
 

@@ -21,7 +21,8 @@ from repro.runtimes.wasm.module import Function, Module, WasmError
 
 
 def assemble(source: str) -> Module:
-    module = Module()
+    functions: list[Function] = []
+    memory_pages = 1
     current: Function | None = None
     depth = 0
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
@@ -35,7 +36,7 @@ def assemble(source: str) -> Module:
             for option in parts[1:]:
                 key, _, value = option.partition("=")
                 if key == "pages":
-                    module.memory_pages = int(value)
+                    memory_pages = int(value)
                 else:
                     raise WasmError(f"line {line_no}: unknown option {key!r}")
             continue
@@ -56,7 +57,7 @@ def assemble(source: str) -> Module:
             depth = 0
             continue
         if head == "end" and current is not None and depth == 0 and len(parts) == 1:
-            module.functions.append(current)
+            functions.append(current)
             current = None
             continue
         if current is None:
@@ -81,10 +82,8 @@ def assemble(source: str) -> Module:
         current.body.append((opcode, immediate))
     if current is not None:
         raise WasmError("unterminated func")
-    if not module.functions:
+    if not functions:
         raise WasmError("module has no functions")
-    try:
-        module.start = module.function_index("main")
-    except WasmError:
-        module.start = 0
-    return module
+    names = [function.name for function in functions]
+    start = names.index("main") if "main" in names else 0
+    return Module(functions=functions, memory_pages=memory_pages, start=start)

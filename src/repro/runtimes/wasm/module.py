@@ -55,7 +55,7 @@ def decode_varint(raw: bytes, pos: int) -> tuple[int, int]:
             return result, pos
 
 
-@dataclass
+@dataclass(frozen=True)
 class Function:
     """One function: parameter/local counts and a flat instruction list."""
 
@@ -70,9 +70,15 @@ class Function:
         return self.n_params + self.n_locals
 
 
-@dataclass
+@dataclass(frozen=True)
 class Module:
-    """A loadable mini-wasm module."""
+    """A loadable mini-wasm module.
+
+    Frozen: one decoded module is shared by every container instance of
+    its image (see :meth:`repro.deploy.spec.ImageSpec.instantiate`); each
+    :class:`~repro.runtimes.wasm.interpreter.WasmInstance` keeps its own
+    linear memory and control tables.
+    """
 
     functions: list[Function] = field(default_factory=list)
     memory_pages: int = 1

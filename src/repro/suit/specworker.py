@@ -110,13 +110,12 @@ class SpecUpdateWorker(SuitUpdateWorker):
     def _shared_plan(self, deployment):
         """One plan object per distinct action list of one release.
 
-        Devices of one fleet usually plan the same actions; under release
-        sharing they share one read-only plan object, so every update
-        history holds one plan per publish instead of one per device.
+        Devices of one fleet usually plan the same actions; through the
+        release cache they share one read-only plan object, so every
+        update history holds one plan per publish instead of one per
+        device.
         """
-        if self.release_cache is None:
-            return deployment
-        # Actions are frozen value objects; the spec is the publish's one
+        # Actions are frozen value objects; the spec is the release's one
         # cached decoded spec, alive as long as the cache.
         key = ("plan", id(deployment.spec), tuple(deployment.actions))
         return self.release_cache.setdefault(key, deployment)
@@ -126,23 +125,19 @@ class SpecUpdateWorker(SuitUpdateWorker):
         from repro.deploy.plan import apply, plan
         from repro.deploy.spec import DeploymentSpec, SpecError
 
-        # The publish-scoped release cache shares one decoded spec —
-        # and through it the per-image slot tables and content hashes
-        # its frozen ImageSpecs lazily cache — across a fleet's
-        # workers.  Wall-clock only: plan/apply below still charge every
-        # modelled cycle on this device's clock.
-        cached = (self.release_cache.get(("spec", payload))
-                  if self.release_cache is not None else None)
-        if cached is not None:
-            spec = cached
-        else:
+        # The release cache shares one decoded spec — and through it
+        # the per-image slot tables and content hashes its frozen
+        # ImageSpecs lazily cache — across a fleet's workers.  Wall-clock
+        # only: plan/apply below still charge every modelled cycle on
+        # this device's clock.
+        spec = self.release_cache.get(("spec", payload))
+        if spec is None:
             try:
                 spec = DeploymentSpec.from_cbor(payload)
             except Exception as exc:  # CBOR, schema or validation failure
                 return UpdateResult(UpdateStatus.SPEC_INVALID, str(exc),
                                     manifest)
-            if self.release_cache is not None:
-                self.release_cache[("spec", payload)] = spec
+            self.release_cache[("spec", payload)] = spec
         try:
             deployment = self._shared_plan(plan(self.engine, spec))
             result = apply(self.engine, deployment)

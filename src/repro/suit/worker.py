@@ -145,6 +145,7 @@ class SuitUpdateWorker:
         max_storage_slots: int | None = None,
         storage_gc_horizon: int | None = None,
         nvm: "NvmStore | None" = None,
+        release_cache: dict | None = None,
     ) -> None:
         self.engine = engine
         self.kernel = engine.kernel
@@ -169,16 +170,21 @@ class SuitUpdateWorker:
         #: replaced by a later update is freed once its tenant releases
         #: it (see :mod:`repro.core.tenant`).
         self.results: list[UpdateResult] = []
-        #: Publish-scoped decode memo, set by the fleet control plane on
-        #: the workers of one release's target devices (``None`` on a
-        #: standalone worker).  Maps raw envelope bytes to the decoded
-        #: ``(envelope, manifest)`` pair (and, for spec workers, payload
-        #: bytes to the decoded spec) so a 1,000-device publish decodes
-        #: each artifact once.  **Wall-clock only**: the modelled verify
-        #: and digest cycles are still charged per device in full, and
-        #: the decoded objects are immutable (frozen dataclasses), so
-        #: sharing them cannot leak state between devices.
-        self.release_cache: dict | None = None
+        #: Decode memo keyed by content.  Maps raw envelope bytes to the
+        #: decoded ``(envelope, manifest)`` pair (and, for spec workers,
+        #: payload bytes to the decoded spec and its shared plans).  A
+        #: fleet publisher passes its one publish-scoped memo to every
+        #: worker it wires and clears it when a publish starts, so a
+        #: 1,000-device publish decodes each artifact once; a standalone
+        #: worker keeps a private memo it clears before each update.
+        #: Either way the memo holds one release, never the history.
+        #: **Wall-clock only**: the modelled verify and digest cycles
+        #: are still charged per device in full, and the decoded objects
+        #: are immutable (frozen dataclasses), so sharing them cannot
+        #: leak state between devices.
+        self.release_cache: dict = ({} if release_cache is None
+                                    else release_cache)
+        self._owns_release_cache = release_cache is None
         self.on_result: Callable[[UpdateResult], None] | None = None
         #: Kill-point hook: called with each step name in
         #: :data:`KILL_POINTS` as the pipeline crosses that boundary.
@@ -235,6 +241,8 @@ class SuitUpdateWorker:
                 if event.kind != "trigger":
                     continue
                 raw, inline = event.payload
+            if self._owns_release_cache:
+                self.release_cache.clear()
             started_us = self.kernel.now_us
             outcome = yield from self._process(thread, raw, inline)
             outcome.duration_us = self.kernel.now_us - started_us
@@ -249,22 +257,19 @@ class SuitUpdateWorker:
             self.on_step(step)
 
     def _process(self, thread, raw: bytes, inline: bytes | None = None):
-        # 1. Decode and authenticate the envelope.  The publish-scoped
-        # release cache shares the *decoded objects* (frozen, immutable)
-        # across a fleet's workers — a wall-clock-only effect; every
-        # modelled cycle below is still charged on this device's clock.
-        cached = (self.release_cache.get(("envelope", raw))
-                  if self.release_cache is not None else None)
-        if cached is not None:
-            envelope, manifest = cached
-        else:
+        # 1. Decode and authenticate the envelope.  The release cache
+        # shares the *decoded objects* (frozen, immutable) across a
+        # fleet's workers — a wall-clock-only effect; every modelled
+        # cycle below is still charged on this device's clock.
+        decoded = self.release_cache.get(("envelope", raw))
+        if decoded is None:
             try:
                 envelope = SuitEnvelope.decode(raw)
-                manifest = envelope.manifest()
+                decoded = (envelope, envelope.manifest())
             except Exception as exc:  # any malformed input is one status
                 return UpdateResult(UpdateStatus.MALFORMED, str(exc))
-            if self.release_cache is not None:
-                self.release_cache[("envelope", raw)] = (envelope, manifest)
+            self.release_cache[("envelope", raw)] = decoded
+        envelope, manifest = decoded
         self._mark("decoded")
         thread.charge(SIG_VERIFY_CYCLES)
         if not envelope.verify(self.trust_anchor):

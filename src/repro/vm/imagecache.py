@@ -22,7 +22,11 @@ install-time artifacts shareable:
   The template itself is pure: all per-run state (registers, memory
   access list, stats, helper trampoline, branch budget) is passed in as
   arguments, so one compiled function object can serve every container
-  instance — and every hosting engine — on the board.
+  instance — and every hosting engine — on the board;
+* a **decoded non-rBPF image** (a parsed script, a decoded Wasm module)
+  depends only on the runtime-tagged image bytes, so an image decodes
+  once per content and its instances share it (see
+  :meth:`~repro.deploy.spec.ImageSpec.instantiate`).
 
 Keys are content hashes (:attr:`~repro.vm.program.Program.image_hash`),
 so there is nothing to invalidate on hot replace: a new program version
@@ -74,6 +78,7 @@ class ImageCache:
         self._decoded: dict[str, list[Decoded]] = {}
         self._reports: dict[tuple[str, "VerifierConfig"], "VerificationReport"] = {}
         self._templates: dict[tuple[str, int | None], CompiledTemplate] = {}
+        self._images: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -93,7 +98,7 @@ class ImageCache:
         while len(table) > self.max_entries:
             table.pop(next(iter(table)))
 
-    # -- the three shared artifacts ----------------------------------------
+    # -- the shared artifacts ----------------------------------------------
 
     def decoded(self, program: "Program") -> list[Decoded]:
         """Pre-decoded slot table, computed once per image *content*."""
@@ -149,11 +154,26 @@ class ImageCache:
             self._put(self._templates, key, template)
         return template
 
+    def image(self, image_hash: str, decode: Callable[[], object]) -> object:
+        """Decoded non-rBPF image for one runtime-tagged content hash.
+
+        ``decode`` is only invoked on a miss.  The image is shared by
+        every instance of that content and must be treated as
+        immutable.  As with :meth:`verify`, only successes are cached: a
+        payload that fails to decode re-raises on every attempt.
+        """
+        image = self._get(self._images, image_hash)
+        if image is _MISS:
+            image = decode()
+            self._put(self._images, image_hash, image)
+        return image
+
     # -- maintenance --------------------------------------------------------
 
     def invalidate(self, image_hash: str) -> None:
         """Drop every artifact derived from one image (tooling hook)."""
         self._decoded.pop(image_hash, None)
+        self._images.pop(image_hash, None)
         for table in (self._reports, self._templates):
             for key in [k for k in table if k[0] == image_hash]:
                 del table[key]
@@ -162,6 +182,7 @@ class ImageCache:
         self._decoded.clear()
         self._reports.clear()
         self._templates.clear()
+        self._images.clear()
         self.hits = 0
         self.misses = 0
 
@@ -172,6 +193,7 @@ class ImageCache:
             "decoded_entries": len(self._decoded),
             "report_entries": len(self._reports),
             "template_entries": len(self._templates),
+            "image_entries": len(self._images),
         }
 
 

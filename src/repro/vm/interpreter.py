@@ -155,9 +155,12 @@ class Interpreter:
         access_list: AccessList | None = None,
     ) -> None:
         self.program = program
-        self.helpers = helpers or HelperRegistry()
-        self.config = config or VMConfig()
-        self.access_list = access_list or AccessList()
+        # ``is None``, not ``or``: an empty HelperRegistry is falsy (it
+        # defines __len__), and helpers registered on it later must
+        # still reach this VM.
+        self.helpers = HelperRegistry() if helpers is None else helpers
+        self.config = VMConfig() if config is None else config
+        self.access_list = AccessList() if access_list is None else access_list
         self.stack = MemoryRegion.zeroed(
             "stack", STACK_BASE, self.config.stack_size, Permission.READ_WRITE
         )

@@ -213,14 +213,12 @@ class TestPublishOptions:
         options = PublishOptions()
         assert not options.multicast
         assert options.shards == 1
-        assert not options.share_release
         assert options.legacy() == options
 
     def test_scale_profile_turns_the_knobs(self):
         options = PublishOptions.scale()
         assert options.multicast
         assert options.shards is None  # auto-sized
-        assert options.share_release
 
     def test_legacy_kwargs_warn_but_work(self):
         publisher = build_fleet_publisher(devices=2)

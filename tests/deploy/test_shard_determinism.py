@@ -4,8 +4,9 @@ The shard executor partitions device kernels across co-run shards for
 wall-clock throughput.  Modelled state must not notice: per-device
 virtual clocks and charged cycles are pinned identical between the
 single-loop (``shards=1``) and sharded executions, shard assignment is
-deterministic, and the publish-scoped release cache (a wall-clock-only
-decode memo) never changes a device's cycle bill.
+deterministic, and decoding each release and image once per content
+(the publish-scoped release cache plus the image cache's decoded
+images) never changes a device's cycle bill.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from repro.deploy import (
     PublishOptions,
     ShardExecutor,
     auto_shard_count,
+    runtime_matrix_spec,
 )
 from repro.scenarios import build_fleet_publisher
+from repro.suit.worker import SuitUpdateWorker
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 
@@ -49,11 +52,13 @@ def make_spec(source: str, name: str = "release") -> DeploymentSpec:
 
 
 def modelled_state(options: PublishOptions, devices: int = 8,
-                   seed: int = 11) -> tuple[dict, dict, bool]:
+                   seed: int = 11,
+                   spec: DeploymentSpec | None = None
+                   ) -> tuple[dict, dict, bool]:
     """(per-device cycles charged, per-device final clock, ok)."""
     IMAGE_CACHE.clear()
     publisher = build_fleet_publisher(devices=devices, seed=seed)
-    result = publisher.publish(make_spec(GOOD, "v1"), options)
+    result = publisher.publish(spec or make_spec(GOOD, "v1"), options)
     charged = {row.device.name: row.cycles_charged for row in result.rows()}
     clocks = {device.name: device.kernel.clock.cycles
               for device in publisher.fleet.devices}
@@ -108,12 +113,30 @@ class TestModelledCyclesInvariant:
         assert flat[0] == sharded[0] == auto[0]
         assert flat[1] == sharded[1] == auto[1]
 
-    def test_release_cache_is_wall_clock_only(self):
-        """Sharing one decoded release across workers must not change
-        any device's charged cycles: decode memoization is a host-side
-        (wall-clock) effect, like the image cache."""
-        cold = modelled_state(PublishOptions(share_release=False))
-        shared = modelled_state(PublishOptions(share_release=True))
+    def test_release_cache_is_wall_clock_only(self, monkeypatch):
+        """Sharing one decoded release and one decoded image per content
+        across workers must not change any device's charged cycles:
+        decode memoization is a host-side (wall-clock) effect.  The
+        reference run forces every device to decode cold — its own
+        envelope, spec, rBPF slots, Wasm module and script parse."""
+        spec = runtime_matrix_spec()
+        shared = modelled_state(PublishOptions(), spec=spec)
+        decodes = []
+
+        def cold_image(image_hash, decode):
+            decodes.append(image_hash)
+            return decode()
+
+        with monkeypatch.context() as patch:
+            # A memo that forgets every write: each lookup misses.
+            patch.setattr(SuitUpdateWorker, "release_cache",
+                          property(lambda self: {},
+                                   lambda self, value: None),
+                          raising=False)
+            patch.setattr(IMAGE_CACHE, "image", cold_image)
+            cold = modelled_state(PublishOptions(), spec=spec)
+        # Every device decoded its own Wasm and script image.
+        assert len(decodes) == 2 * 8
         assert cold[2] and shared[2]
         assert cold[0] == shared[0]
         assert cold[1] == shared[1]

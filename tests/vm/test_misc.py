@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vm import (
+    AccessList,
     HelperFault,
     HelperRegistry,
     Instruction,
@@ -13,6 +14,7 @@ from repro.vm import (
     Program,
     ProgramBuilder,
     R,
+    VMConfig,
     assemble,
     compile_program,
     isa,
@@ -125,6 +127,24 @@ class TestHelperRegistry:
         Interpreter(assemble(source + "\n    call 0x30\n    exit"),
                     helpers=registry).run()
         assert captured == dict(r1=10, r2=20, r3=30, r4=40, r5=50)
+
+    def test_empty_registry_is_kept_not_replaced(self):
+        """An empty registry is falsy (``__len__`` is 0); the VM must
+        still use the caller's object, not a fresh one."""
+        registry = HelperRegistry()
+        config = VMConfig()
+        access_list = AccessList()
+        vm = Interpreter(assemble("exit"), helpers=registry, config=config,
+                         access_list=access_list)
+        assert vm.helpers is registry
+        assert vm.config is config
+        assert vm.access_list is access_list
+
+    def test_helper_registered_after_construction_reaches_vm(self):
+        registry = HelperRegistry()
+        vm = Interpreter(assemble("call 0x30\n    exit"), helpers=registry)
+        registry.register(0x30, lambda vm, *args: 42)
+        assert vm.run().value == 42
 
     def test_helper_exception_contained_as_fault(self):
         registry = HelperRegistry()
