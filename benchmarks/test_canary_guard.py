@@ -31,7 +31,7 @@ from repro.deploy import (
 )
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
-from repro.workloads.fletcher32 import fletcher32_program
+from repro.workloads.fletcher32 import FLETCHER32_EBPF, fletcher32_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_canary.json"
@@ -99,11 +99,11 @@ def _one_trial() -> tuple[float, list[float], int]:
         "rollback disturbed a non-canary device"
     assert plan(fleet.devices[0].engine, base).empty
 
-    # Clean rollout: same program text, new content hash (rodata tag),
-    # so the canary pays one cold JIT compile and promotion rides it.
-    fixed_image = ImageSpec(name="app",
-                            text=base_image.text,
-                            rodata=b"release-v2")
+    # Clean rollout: same behaviour, new text (a leading mov of a
+    # release tag into the unused r9).  The JIT template is keyed on the
+    # text, so the canary pays one cold compile and promotion rides it.
+    fixed_image = ImageSpec.from_program(
+        assemble(f"mov r9, 2\n{FLETCHER32_EBPF}"), name="app")
     promoted = fleet.canary_rollout(_spec("v2", fixed_image),
                                     canary_count=CANARIES,
                                     bake_us=200_000.0, bake_fires=2)

@@ -31,17 +31,19 @@ from repro.deploy import (
 )
 from repro.scenarios import build_fleet_publisher
 from repro.suit import UpdateStatus
+from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
-from repro.workloads.fletcher32 import fletcher32_program
+from repro.workloads.fletcher32 import FLETCHER32_EBPF
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_publish.json"
 
 DEVICES = 4
 TENANTS = 2
-#: Distinct content-addressed images per device (same text, distinct
-#: rodata tags): the cold device pays one host-side verify + JIT compile
-#: *per image*, the warm devices none at all.
+#: Distinct content-addressed images per device (distinct text: a
+#: per-image tag moved into the unused r9 ahead of fletcher32): the cold
+#: device pays one host-side verify + JIT compile *per image*, the warm
+#: devices none at all.
 IMAGES = 6
 
 #: Devices 2..N skip the dominant host-side verify+JIT compiles entirely.
@@ -51,10 +53,10 @@ _TRIALS = 5
 
 
 def _spec() -> DeploymentSpec:
-    base = ImageSpec.from_program(fletcher32_program())
     images = {
-        f"app{index}": ImageSpec(name=f"app{index}", text=base.text,
-                                 rodata=b"release-%d" % index)
+        f"app{index}": ImageSpec.from_program(
+            assemble(f"mov r9, {index}\n{FLETCHER32_EBPF}"),
+            name=f"app{index}")
         for index in range(IMAGES)
     }
     return DeploymentSpec(

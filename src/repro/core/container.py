@@ -115,12 +115,13 @@ class FemtoContainer:
 
     @property
     def image_hash(self) -> str:
-        """Content hash of the deployed image (the shared-cache key).
+        """Content hash of the deployed image.
 
-        Instances with equal hashes share verify results and JIT
-        templates through :data:`~repro.vm.imagecache.IMAGE_CACHE`; the
-        device shell and the fan-out tooling display it so operators can
-        see which containers are stamped from the same image.
+        Instances with equal hashes are stamped from the same image (and
+        so share verify results and JIT templates through
+        :data:`~repro.vm.imagecache.IMAGE_CACHE`, which keys those on the
+        text); the device shell and the fan-out tooling display it so
+        operators can see which containers share an image.
         """
         return self.program.image_hash
 

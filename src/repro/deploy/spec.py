@@ -101,8 +101,8 @@ class ImageSpec:
 
         For rBPF this returns a new :class:`Program` whose slot list is
         decoded once per image and shared — the slots are frozen value
-        objects, so sharing is as safe as sharing the bytes — with the
-        content-hash cache pre-seeded so attaching N instances neither
+        objects, so sharing is as safe as sharing the bytes — with its
+        image and text hashes pre-seeded so attaching N instances neither
         re-decodes nor re-hashes the image.  Non-rBPF images decode
         through their registered runtime once per *content*: the
         process-wide image cache keeps the decoded image under its
@@ -117,7 +117,7 @@ class ImageSpec:
             return image
         program = Program(slots=list(self._slots), rodata=self.rodata,
                           data=self.data, name=name or self.name)
-        program.seed_hash_cache(self.image_hash)
+        program.seed_hash_cache(*self._rbpf_hashes)
         return program
 
     def _decode(self):
@@ -146,8 +146,14 @@ class ImageSpec:
 
             return container_runtime(self.runtime).image_hash(
                 self.text, self.rodata, self.data)
-        return Program.from_bytes(self.text, rodata=self.rodata,
-                                  data=self.data, name=self.name).image_hash
+        return self._rbpf_hashes[0]
+
+    @cached_property
+    def _rbpf_hashes(self) -> tuple[str, str]:
+        """An rBPF image's ``(image_hash, text_hash)``, hashed once."""
+        program = Program(slots=self._slots, rodata=self.rodata,
+                          data=self.data)
+        return program.image_hash, program.text_hash
 
     def to_json(self) -> dict:
         doc: dict = {"hex": self.text.hex()}

@@ -65,6 +65,21 @@ def _resolve_control(function: Function) -> _Control:
     return _Control(end_of=end_of, else_of=else_of)
 
 
+def _instantiation_artifacts(module: Module) -> list[_Control]:
+    """Validate ``module`` and resolve its control tables, once per module.
+
+    Both depend only on the frozen module, which every instance of one
+    image shares, so the result is kept on the module itself.  Only a
+    success is kept: an invalid module is refused at every instantiation.
+    """
+    control = module.__dict__.get("_control")
+    if control is None:
+        validate(module)
+        control = [_resolve_control(fn) for fn in module.functions]
+        object.__setattr__(module, "_control", control)
+    return control
+
+
 class WasmInstance:
     """One instantiated module with its linear memory."""
 
@@ -73,11 +88,10 @@ class WasmInstance:
     INTERPRETER_STATE_BYTES = 21_800
 
     def __init__(self, module: Module, max_call_depth: int = 64):
-        validate(module)
+        self._control = _instantiation_artifacts(module)
         self.module = module
         self.memory = bytearray(module.memory_pages * PAGE_SIZE)
         self.max_call_depth = max_call_depth
-        self._control = [_resolve_control(fn) for fn in module.functions]
         self.stats = WasmStats()
 
     # -- memory (bounds-checked) -------------------------------------------

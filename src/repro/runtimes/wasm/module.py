@@ -75,9 +75,11 @@ class Module:
     """A loadable mini-wasm module.
 
     Frozen: one decoded module is shared by every container instance of
-    its image (see :meth:`repro.deploy.spec.ImageSpec.instantiate`); each
+    its image (see :meth:`repro.deploy.spec.ImageSpec.instantiate`).  Its
+    validation and resolved control tables are computed at the first
+    instantiation and kept on the module; each
     :class:`~repro.runtimes.wasm.interpreter.WasmInstance` keeps its own
-    linear memory and control tables.
+    linear memory.
     """
 
     functions: list[Function] = field(default_factory=list)

@@ -45,9 +45,10 @@ crossover.  The compiled template itself is **pure**: every piece of
 per-run state (registers, access list, stats, helper trampoline, branch
 budget) is passed in as an argument, which is what lets the process-wide
 :data:`~repro.vm.imagecache.IMAGE_CACHE` share one template across all
-container instances of the same image (keyed by content hash) — attach
-re-charges the modelled install cost, but the host does the expensive
-transpile/compile work once per image, not once per instance.
+container instances of the same text (keyed by the text's content hash,
+so images that differ only in ``.rodata``/``.data`` share it too) —
+attach re-charges the modelled install cost, but the host does the
+expensive transpile/compile work once per text, not once per instance.
 """
 
 from __future__ import annotations
@@ -653,16 +654,16 @@ class _Codegen:
 def _build_template(
     program: Program, total_limit: int | None
 ) -> CompiledTemplate:
-    """Transpile and compile one image's template (the cache-miss path)."""
+    """Transpile and compile one text's template (the cache-miss path).
+
+    The code object is named after the text hash, not the program name:
+    the template is shared by every image with this text.
+    """
     source = _Codegen(program, total_limit).generate()
-    code = compile(source, f"<fc-jit:{program.name}>", "exec")
+    code = compile(source, f"<fc-jit:{program.text_hash[:12]}>", "exec")
     namespace = dict(_JIT_GLOBALS)
     exec(code, namespace)
-    return CompiledTemplate(
-        source=source,
-        entry=namespace["_fc_main"],
-        install_instruction_count=len(program.slots),
-    )
+    return CompiledTemplate(source=source, entry=namespace["_fc_main"])
 
 
 class CompiledProgram(Interpreter):
@@ -688,7 +689,7 @@ class CompiledProgram(Interpreter):
         # the generated code *depends* on the verifier's guarantees.
         # Both the verdict and the compiled template are shared through
         # the process-wide image cache: the template is pure (all per-run
-        # state arrives as arguments), so N instances of one image — on
+        # state arrives as arguments), so N instances of one text — on
         # one engine or several — reuse a single compiled function while
         # keeping registers, stack, access list and stats fully private.
         self.report = IMAGE_CACHE.verify(program, verifier_config)

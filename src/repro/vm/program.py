@@ -53,51 +53,75 @@ class Program:
 
         Two :class:`Program` objects decoded from the same SUIT payload
         hash identically, which is what lets the process-wide
-        :data:`~repro.vm.imagecache.IMAGE_CACHE` share verify results,
-        pre-decoded slot tables and JIT templates across container
-        instances.  The name is deliberately excluded — the image is
-        content-addressed, like the flash slot it models.
+        :data:`~repro.vm.imagecache.IMAGE_CACHE` recognise instances of
+        one image (verify verdicts, decoded non-rBPF images, and the
+        planner's convergence check all address images this way).  The
+        name is deliberately excluded — the image is content-addressed,
+        like the flash slot it models.
 
         Cached per object, invalidated when ``slots`` is replaced or
         resized or when either data section is reassigned (the same
         immutability convention as :attr:`decoded`).
         """
+        return self._hashes()[0]
+
+    @property
+    def text_hash(self) -> str:
+        """Content hash of the executable text alone (no data sections).
+
+        The install-time artifacts that depend only on the code — the
+        pre-decoded slot table and the JIT template — are keyed on this
+        hash, so images that share their text but carry different
+        ``.rodata``/``.data`` (a release that only changes constants)
+        share one translation.  ``lddwr``/``lddwd`` are relocated against
+        the constant section base addresses, never the section bytes,
+        which is what makes that sharing sound.
+
+        Computed and cached together with :attr:`image_hash` (one encode
+        of the text serves both), under the same invalidation rules.
+        """
+        return self._hashes()[1]
+
+    def _hashes(self) -> tuple[str, str]:
+        """``(image_hash, text_hash)``, cached per object."""
         slots, rodata, data = self.slots, self.rodata, self.data
         cache = getattr(self, "_hash_cache", None)
         if (cache is not None and cache[0] is slots
                 and cache[1] == len(slots)
                 and cache[2] is rodata and cache[3] is data):
             return cache[4]
-        digest = hashlib.sha256()
-        digest.update(self.to_bytes())
+        digest = hashlib.sha256(self.to_bytes())
+        text_hash = digest.hexdigest()
         # Length-prefix the data sections so (rodata, data) boundaries
         # cannot alias between images with identical concatenations.
         digest.update(struct.pack("<II", len(rodata), len(data)))
         digest.update(rodata)
         digest.update(data)
-        value = digest.hexdigest()
-        self._hash_cache = (slots, len(slots), rodata, data, value)
-        return value
+        hashes = (digest.hexdigest(), text_hash)
+        self._hash_cache = (slots, len(slots), rodata, data, hashes)
+        return hashes
 
-    def seed_hash_cache(self, image_hash: str) -> None:
-        """Prime :attr:`image_hash` with a hash already computed from the
-        same content (an installer decoding many instances of one image
-        hashes it once).  The caller owns the equality guarantee; the
-        cache layout stays private to this module."""
+    def seed_hash_cache(self, image_hash: str, text_hash: str) -> None:
+        """Prime :attr:`image_hash` and :attr:`text_hash` with hashes
+        already computed from the same content (an installer decoding
+        many instances of one image hashes it once).  The caller owns
+        the equality guarantee; the cache layout stays private to this
+        module."""
         self._hash_cache = (self.slots, len(self.slots), self.rodata,
-                            self.data, image_hash)
+                            self.data, (image_hash, text_hash))
 
     @property
     def decoded(self) -> list[Decoded]:
-        """Pre-decoded slot table, computed once per image *content*.
+        """Pre-decoded slot table, computed once per *text*.
 
         The per-object cache is invalidated when the ``slots`` list is
         replaced or resized; in-place mutation of individual slots after
         the first execution is not supported (images are immutable once
         installed, mirroring the on-device flash layout).  On a per-object
         miss the shared :data:`~repro.vm.imagecache.IMAGE_CACHE` is
-        consulted, so N instances deserialized from the same image bytes
-        pre-decode exactly once.
+        consulted under :attr:`text_hash`, so N instances deserialized
+        from the same text — whatever their data sections — pre-decode
+        exactly once.
         """
         slots = self.slots
         cache = getattr(self, "_decoded_cache", None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FC_HOOK_FANOUT, HostingEngine
+from repro.core.errors import AttachError
 from repro.core.hooks import Hook, HookMode
 from repro.deploy import ImageSpec
 from repro.rtos import Kernel
@@ -35,6 +36,8 @@ from repro.runtimes import (
     runtime_names,
 )
 from repro.runtimes.sources import SCRIPT_FLETCHER32_PY, WASM_FLETCHER32
+from repro.runtimes.wasm import assemble as wasm_assemble
+from repro.runtimes.wasm import interpreter as wasm_interpreter
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
 from repro.workloads import FLETCHER32_INPUT, fletcher32_reference
@@ -225,3 +228,80 @@ class TestEngineIntegration:
         replacement = engine.replace(container, other.instantiate("sum"))
         run = engine.execute(replacement, context=b"\x00" * 16)
         assert run.ok and run.value == 42
+
+
+#: Decodes cleanly, fails structural validation (no function 9).
+INVALID_WASM = """
+module pages=1
+func main params=0 locals=0
+    call 9
+    return
+end
+"""
+
+
+class TestWasmInstantiationSharing:
+    """A Wasm module validates and resolves its control tables once, at
+    its first instantiation; every instance still gets its own linear
+    memory and every attach its full WASM3 startup charge."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        real = wasm_interpreter.validate
+
+        def counting(module):
+            calls.append(module)
+            return real(module)
+
+        monkeypatch.setattr(wasm_interpreter, "validate", counting)
+        return calls
+
+    def test_module_validated_once_across_attaches(self, validations):
+        spec = ImageSpec.from_wasm(WASM_FLETCHER32)
+        for index in range(3):
+            engine_with(spec, name=f"w{index}")
+        assert len(validations) == 1
+
+    def test_invalid_module_refused_at_every_attach(self, validations):
+        spec = ImageSpec.from_wasm(wasm_assemble(INVALID_WASM), name="bad")
+        for _ in range(3):
+            with pytest.raises(AttachError, match="unknown function"):
+                engine_with(spec)
+        assert len(validations) == 3  # a refusal is never cached
+
+    def test_instances_keep_private_linear_memory(self):
+        spec = ImageSpec.from_wasm(WASM_FLETCHER32)
+        engine = HostingEngine(Kernel())
+        engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        containers = []
+        for index in range(2):
+            container = engine.load(spec.instantiate(f"w{index}"),
+                                    name=f"w{index}")
+            engine.attach(container, FC_HOOK_FANOUT)
+            containers.append(container)
+        one, two = (container.vm.instance for container in containers)
+        assert one.module is two.module
+        assert one.memory is not two.memory
+        one.write_memory(0, b"\xaa" * 4)
+        assert two.memory[:4] == bytes(4)
+        for container, payload in zip(containers, (FLETCHER32_INPUT,
+                                                   FLETCHER32_INPUT[:64])):
+            run = engine.execute(container, context=bytearray(payload))
+            assert run.ok and run.value == fletcher32_reference(payload)
+
+    def test_startup_charge_identical_cold_and_warm(self):
+        spec = ImageSpec.from_wasm(WASM_FLETCHER32)
+        engine = HostingEngine(Kernel())
+        engine.register_hook(Hook(FC_HOOK_FANOUT, mode=HookMode.SYNC))
+        charges = []
+        for index in range(3):
+            container = engine.load(spec.instantiate(f"w{index}"),
+                                    name=f"w{index}")
+            before = engine.kernel.clock.cycles
+            engine.attach(container, FC_HOOK_FANOUT)
+            charges.append(engine.kernel.clock.cycles - before)
+        assert len(set(charges)) == 1, charges
+        assert charges[0] >= (WASM3_PROFILE.startup_base_cycles
+                              + WASM3_PROFILE.startup_cycles_per_byte
+                              * len(spec.text))
