@@ -8,6 +8,10 @@ Wall-clock output (the ``BENCH_*.json`` records at the repository root
 and host-dependent tables) is written only when ``REPRO_BENCH_RECORD=1``
 is set, as the CI bench job does before ``tools/check_bench.py``; a
 plain test run still asserts every bar but leaves the tree unchanged.
+
+The module has its own name, not ``conftest``: ``tests/conftest.py``
+would shadow a ``from conftest import ...`` whenever one pytest run
+collects both directories.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import record_bench
+from bench_record import record_bench
 from repro.core import HostingEngine
 from repro.rtos import Kernel, nrf52840
 from repro.vm import Program

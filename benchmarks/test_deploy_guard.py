@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from conftest import record_bench
+from bench_record import record_bench
 from repro.deploy import Fleet, fanout_spec
 from repro.vm.imagecache import IMAGE_CACHE
 from repro.workloads.fletcher32 import fletcher32_program

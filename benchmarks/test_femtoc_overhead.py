@@ -9,7 +9,7 @@ of compiler quality; LLVM sits between it and hand-written code.
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table
 from repro.femtoc import compile_source

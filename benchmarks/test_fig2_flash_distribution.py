@@ -7,7 +7,7 @@ RIOT with rBPF runtime totals 57 kB (crypto 13 %, network 35 %, kernel
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import pie_breakdown
 from repro.rtos import FirmwareImage, nrf52840

@@ -6,7 +6,7 @@ ESP32 and RISC-V, all under ~4.5 kB, CertFC always the smallest.
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import bar_chart
 from repro.rtos import all_boards

@@ -9,7 +9,7 @@ implementation"), memory instructions the most expensive, up to ~2.75 us.
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import bar_chart
 from repro.rtos import nrf52840

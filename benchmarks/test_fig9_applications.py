@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import bar_chart
 from repro.core import CoapResponseContext, FC_HOOK_COAP, FC_HOOK_SCHED, FC_HOOK_TIMER, HostingEngine

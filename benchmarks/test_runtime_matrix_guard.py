@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from conftest import record_bench
+from bench_record import record_bench
 from repro.core import FC_HOOK_FANOUT, HostingEngine
 from repro.core.hooks import Hook, HookMode
 from repro.deploy import ImageSpec

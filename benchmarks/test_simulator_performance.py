@@ -15,7 +15,7 @@ work; all Fig. 8 / Table 2 / Table 4 outputs stay byte-identical.
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table
 from repro.vm import CertFCInterpreter, Interpreter, compile_program

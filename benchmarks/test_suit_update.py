@@ -8,7 +8,7 @@ pre-flight verification, hot attach) and reports where the time goes.
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table
 from repro.core import FC_HOOK_SCHED, HostingEngine

@@ -10,7 +10,7 @@ Paper (Cortex-M4):
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table
 from repro.rtos import nrf52840

@@ -11,7 +11,7 @@ Paper (Cortex-M4 @ 64 MHz):
 
 from __future__ import annotations
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table, format_us
 from repro.rtos import nrf52840

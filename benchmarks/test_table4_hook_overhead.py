@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 
-from conftest import record
+from bench_record import record
 
 from repro.analysis import format_table
 from repro.core import FC_HOOK_SCHED, HostingEngine

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from conftest import record_bench
+from bench_record import record_bench
 from repro.vm import CertFCInterpreter, Interpreter, compile_program
 from repro.vm.memory import Permission
 from repro.workloads.fletcher32 import (

@@ -160,6 +160,9 @@ class CoapServer:
 @dataclass
 class _Pending:
     message: CoapMessage
+    #: The message's wire bytes, encoded once: an RFC 7252 §4.2
+    #: retransmission resends the identical datagram.
+    raw: bytes
     dst: tuple[str, int]
     on_response: Callable[[CoapMessage], None]
     on_timeout: Callable[[], None] | None
@@ -198,13 +201,13 @@ class CoapClient:
         self._next_mid = (self._next_mid + 1) & 0xFFFF
         message.token = self._next_token.to_bytes(2, "big")
         self._next_token = (self._next_token + 1) & 0xFFFF
-        pending = _Pending(message, (dst_addr, dst_port), on_response,
-                           on_timeout)
+        pending = _Pending(message, message.encode(), (dst_addr, dst_port),
+                           on_response, on_timeout)
         self._pending[message.token] = pending
         self._transmit(pending)
 
     def _transmit(self, pending: _Pending) -> None:
-        self.socket.send_to(*pending.dst, pending.message.encode())
+        self.socket.send_to(*pending.dst, pending.raw)
         if pending.message.mtype != coap.CON:
             return
         backoff = coap.ACK_TIMEOUT_US * (2 ** pending.retransmits)

@@ -42,6 +42,15 @@ one-shot torn write (at the shadow or the commit phase),
 :attr:`erase_budget` models wear-out — a region whose lifetime erase
 count exceeds the budget goes bad and silently corrupts whatever is
 programmed into it.
+
+Frames are immutable ``bytes``, and every fault hook *replaces* a stored
+frame rather than editing it.  So one frame object can sit in many
+devices' stores at once: :func:`_frame` keeps the last large frame it
+built and returns it again when it is handed the very same payload
+object, as it is when a fleet publish persists one release on every
+device.  That memo is wall-clock and host-memory only — each device is
+still charged, and counted, for every byte it erases, programs and
+reads.
 """
 
 from __future__ import annotations
@@ -74,10 +83,25 @@ NVM_FRAME_HEADER = struct.Struct("<4xII")
 NVM_FRAME_HEADER_BYTES = 2 + 8
 
 
+#: Payloads shorter than this are framed afresh and never memoized: the
+#: small anti-rollback sequence record written right after each slot
+#: record would otherwise evict the large one from the single entry.
+_FRAME_MEMO_MIN_BYTES = 256
+#: The last memoized frame: ``(payload, frame)``, matched by identity.
+_FRAME_MEMO: "tuple[bytes, bytes] | None" = None
+
+
 def _frame(payload: bytes) -> bytes:
-    return (NVM_FRAME_MAGIC
-            + struct.pack("<II", len(payload), zlib.crc32(payload))
-            + payload)
+    global _FRAME_MEMO
+    memo = _FRAME_MEMO
+    if memo is not None and memo[0] is payload:
+        return memo[1]
+    frame = (NVM_FRAME_MAGIC
+             + struct.pack("<II", len(payload), zlib.crc32(payload))
+             + payload)
+    if len(payload) >= _FRAME_MEMO_MIN_BYTES:
+        _FRAME_MEMO = (payload, frame)
+    return frame
 
 
 def _unframe(frame: bytes | None) -> bytes | None:
@@ -276,7 +300,7 @@ class NvmStore:
         self.writes += 1
         if redundant:
             self._redundant.add(key)
-        elif _unframe(written) is not None:
+        elif written is frame or _unframe(written) is not None:
             # Healthy commit: retire the shadow journal entry.
             self._shadow.pop(key, None)
             self._charge(self.erase_cycles_per_page)

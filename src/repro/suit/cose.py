@@ -1,9 +1,13 @@
-"""COSE_Sign1 (RFC 9052 subset) over Ed25519, for SUIT authentication."""
+"""COSE_Sign1 (RFC 9052 subset) over Ed25519, for SUIT authentication.
+
+Host cost: a fleet publish hands one envelope to every device, so
+:meth:`CoseSign1.verify` remembers the last message that verified and
+skips the Sig_structure encode and the Ed25519 check when the next one
+is byte-identical.  Each device still charges the modelled verify.
+"""
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.suit import cbor, ed25519
@@ -14,16 +18,16 @@ ALG_EDDSA = -8
 #: CBOR tag for COSE_Sign1.
 TAG_SIGN1 = 18
 
-#: Host-side verification memo, keyed by a digest of (message, signature,
-#: public key).  A fleet publish hands the *same* envelope to N simulated
-#: devices; one pure-Python Ed25519 verify costs a few milliseconds, which
-#: is still worth sharing across a 1,000-device fleet.  Like the image
-#: cache, sharing it is a wall-clock effect only: every device still
+#: Host-side verification memo: the last ``(protected, payload,
+#: signature, public key)`` that verified, compared field by field.  A
+#: fleet publish hands the *same* envelope to N simulated devices, and
+#: one pure-Python Ed25519 verify costs a few milliseconds.  Like the
+#: image cache, it is a wall-clock effect only: every device still
 #: charges the full modelled ``SIG_VERIFY_CYCLES`` on its own virtual
-#: clock.  Only successful verifications are memoized (a forgery is
-#: re-checked every time).
-_VERIFY_MEMO: "OrderedDict[bytes, bool]" = OrderedDict()
-_VERIFY_MEMO_MAX = 256
+#: clock.  Only a successful verification of immutable ``bytes`` is
+#: memoized (a forgery is re-checked every time), and the one entry
+#: holds one release.
+_VERIFY_MEMO: "tuple[bytes, bytes, bytes, bytes] | None" = None
 
 
 class CoseError(Exception):
@@ -55,6 +59,10 @@ class CoseSign1:
         A protected header that does not decode is a failed verification,
         not an exception: the bytes come straight off the wire.
         """
+        global _VERIFY_MEMO
+        key = (self.protected, self.payload, self.signature, public_key)
+        if _VERIFY_MEMO == key:
+            return True
         try:
             header = cbor.decode(self.protected)
         except (cbor.CBORError, ValueError, RecursionError):
@@ -62,18 +70,9 @@ class CoseSign1:
         if not isinstance(header, dict) or header.get(HEADER_ALG) != ALG_EDDSA:
             return False
         message = self._sig_structure(self.protected, self.payload)
-        memo_key = hashlib.sha256(
-            b"%d:%d:" % (len(message), len(self.signature))
-            + message + self.signature + public_key
-        ).digest()
-        if _VERIFY_MEMO.get(memo_key):
-            _VERIFY_MEMO.move_to_end(memo_key)
-            return True
         ok = ed25519.verify(message, self.signature, public_key)
-        if ok:
-            _VERIFY_MEMO[memo_key] = True
-            if len(_VERIFY_MEMO) > _VERIFY_MEMO_MAX:
-                _VERIFY_MEMO.popitem(last=False)
+        if ok and all(type(part) is bytes for part in key):
+            _VERIFY_MEMO = key
         return ok
 
     def encode(self) -> bytes:

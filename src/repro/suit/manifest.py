@@ -45,9 +45,23 @@ class ManifestError(Exception):
     """Malformed manifest or envelope."""
 
 
+#: The last payload digested: ``(payload, sha256)``.  A fleet publish
+#: checks one release against its manifest on every device; one entry
+#: lets them share the hash.  Only immutable ``bytes`` are memoized, and
+#: a payload must equal the memoized one byte for byte to reuse it.
+_DIGEST_MEMO: "tuple[bytes, bytes] | None" = None
+
+
 def payload_digest(payload: bytes) -> bytes:
     """SHA-256 digest as carried in the manifest."""
-    return hashlib.sha256(payload).digest()
+    global _DIGEST_MEMO
+    memo = _DIGEST_MEMO
+    if memo is not None and (memo[0] is payload or memo[0] == payload):
+        return memo[1]
+    digest = hashlib.sha256(payload).digest()
+    if type(payload) is bytes:
+        _DIGEST_MEMO = (payload, digest)
+    return digest
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,13 @@ inside the slot record and once as a small **redundant** record under
 ``suit/seq/<location>`` whose shadow copy is kept as a standing
 replica — and :meth:`restore` replays those records last, so even a
 device that lost a whole slot record still refuses replayed manifests.
+
+Host cost: a fleet publish installs byte-identical content on every
+device, so :meth:`StorageRegistry._persist` keeps the last slot record
+and sequence record it encoded (one entry, keyed on every field the
+records carry) and hands the same bytes to the next device whose slot is
+identical.  The memo is wall-clock only: each device still writes, and
+is charged for, its own NVM records.
 """
 
 from __future__ import annotations
@@ -55,6 +62,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NVM_SLOT_PREFIX = "suit/slot/"
 #: NVM key prefix of the redundant anti-rollback sequence records.
 NVM_SEQ_PREFIX = "suit/seq/"
+
+
+#: Slot-record map keys, in encoding order.
+_RECORD_KEYS = ("location", "image", "sequence", "installs", "name",
+                "runtime")
+#: The last slot persisted: ``(fields, slot record, sequence record)``,
+#: both records CBOR-encoded.  One entry, so it holds one release, never
+#: the history.
+_RECORD_MEMO: "tuple[tuple, bytes, bytes] | None" = None
 
 
 class StorageFullError(Exception):
@@ -192,21 +208,22 @@ class StorageRegistry:
         order could raise the floor above an image that never made it,
         bricking the slot against its own re-install.
         """
+        global _RECORD_MEMO
         if self.nvm is None or slot.sequence_number < 0:
             return
-        record = {
-            "location": slot.location,
-            "image": slot.image,
-            "sequence": slot.sequence_number,
-            "installs": slot.installs,
-            "name": slot.name,
-            "runtime": slot.runtime,
-        }
-        self.nvm.write(NVM_SLOT_PREFIX + slot.location, cbor.encode(record))
-        seq_record = {"location": slot.location,
-                      "sequence": slot.sequence_number}
-        self.nvm.write(NVM_SEQ_PREFIX + slot.location,
-                       cbor.encode(seq_record), redundant=True)
+        fields = (slot.location, slot.image, slot.sequence_number,
+                  slot.installs, slot.name, slot.runtime)
+        memo = _RECORD_MEMO
+        if memo is None or memo[0] != fields:
+            seq_record = {"location": slot.location,
+                          "sequence": slot.sequence_number}
+            memo = _RECORD_MEMO = (
+                fields, cbor.encode(dict(zip(_RECORD_KEYS, fields))),
+                cbor.encode(seq_record))
+        _, record, seq_record = memo
+        self.nvm.write(NVM_SLOT_PREFIX + slot.location, record)
+        self.nvm.write(NVM_SEQ_PREFIX + slot.location, seq_record,
+                       redundant=True)
 
     def _read_record(self, key: str) -> dict | None:
         """One validated, decoded NVM record — or ``None`` if unreadable."""

@@ -6,13 +6,23 @@ virtual clocks and charged cycles are pinned identical between the
 single-loop (``shards=1``) and sharded executions, shard assignment is
 deterministic, and decoding each release and image once per content
 (the publish-scoped release cache plus the image cache's decoded
-images) never changes a device's cycle bill.
+images) never changes a device's cycle bill.  Neither does persisting
+and authenticating it once per content (the slot-record, NVM-frame,
+payload-digest and COSE-verify memos): a forced-cold publish leaves
+every device's flash byte for byte as a shared one does.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import repro.rtos.nvm as nvm_module
+import repro.suit.cose as cose_module
+import repro.suit.manifest as manifest_module
+import repro.suit.storage as storage_module
+import repro.suit.worker as worker_module
 from repro.core import FC_HOOK_FANOUT
 from repro.core.hooks import HookMode
 from repro.deploy import (
@@ -26,6 +36,8 @@ from repro.deploy import (
     runtime_matrix_spec,
 )
 from repro.scenarios import build_fleet_publisher
+from repro.suit import ed25519
+from repro.suit.storage import NVM_SLOT_PREFIX
 from repro.suit.worker import SuitUpdateWorker
 from repro.vm import assemble
 from repro.vm.imagecache import IMAGE_CACHE
@@ -63,6 +75,41 @@ def modelled_state(options: PublishOptions, devices: int = 8,
     clocks = {device.name: device.kernel.clock.cycles
               for device in publisher.fleet.devices}
     return charged, clocks, result.ok
+
+
+def persisted_state(options: PublishOptions, spec: DeploymentSpec,
+                    devices: int = 8, seed: int = 11):
+    """Modelled outcome plus every device's flash after one publish:
+    (cycles charged, final clocks, NVM counters, stored frames, slot
+    frames, ok).  NVM counters are ``(writes, erases, bytes_written)``;
+    stored frames are each device's primary and shadow regions."""
+    IMAGE_CACHE.clear()
+    publisher = build_fleet_publisher(devices=devices, seed=seed)
+    result = publisher.publish(spec, options)
+    fleet = publisher.fleet.devices
+    charged = {row.device.name: row.cycles_charged for row in result.rows()}
+    clocks = {device.name: device.kernel.clock.cycles for device in fleet}
+    counters = {device.name: (device.nvm.writes, device.nvm.erases,
+                              device.nvm.bytes_written)
+                for device in fleet}
+    frames = {device.name: (dict(device.nvm._primary),
+                            dict(device.nvm._shadow))
+              for device in fleet}
+    slot_frames = [frame for device in fleet
+                   for key, frame in device.nvm._primary.items()
+                   if key.startswith(NVM_SLOT_PREFIX)]
+    return charged, clocks, counters, frames, slot_frames, result.ok
+
+
+def forget_before_each_call(patch, module, memo: str, owner, attr: str):
+    """Wrap ``owner.attr`` so ``module.memo`` is empty on every call."""
+    original = getattr(owner, attr)
+
+    def cold(*args, **kwargs):
+        setattr(module, memo, None)
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, attr, cold)
 
 
 def named(count: int) -> list:
@@ -140,6 +187,62 @@ class TestModelledCyclesInvariant:
         assert cold[2] and shared[2]
         assert cold[0] == shared[0]
         assert cold[1] == shared[1]
+
+    @pytest.mark.parametrize("options", [PublishOptions(),
+                                         PublishOptions.scale()],
+                             ids=["unicast", "multicast"])
+    def test_content_memos_are_wall_clock_only(self, monkeypatch, options):
+        """Encoding each slot record, framing it, hashing the payload
+        and verifying the COSE signature once per content must leave
+        every device's cycles, clock, flash counters and stored frames
+        exactly as a forced-cold run leaves them, in which each device
+        does all four itself."""
+        spec = DeploymentSpec(
+            name="memo",
+            tenants=("ops",),
+            hooks=(HookSpec(FC_HOOK_FANOUT, HookMode.SYNC),),
+            images={"app": ImageSpec(
+                name="app",
+                text=assemble(GOOD, name="app").to_bytes(),
+                rodata=random.Random(16).randbytes(1024))},
+            attachments=(AttachmentSpec(image="app", hook=FC_HOOK_FANOUT,
+                                        tenant="ops", name="worker"),),
+        )
+        verifies = []
+        real_verify = ed25519.verify
+
+        def counted_verify(*args):
+            verifies.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(ed25519, "verify", counted_verify)
+        for module, memo in ((storage_module, "_RECORD_MEMO"),
+                             (nvm_module, "_FRAME_MEMO"),
+                             (manifest_module, "_DIGEST_MEMO"),
+                             (cose_module, "_VERIFY_MEMO")):
+            monkeypatch.setattr(module, memo, None)
+        shared = persisted_state(options, spec)
+        shared_verifies = len(verifies)
+        with monkeypatch.context() as patch:
+            forget_before_each_call(patch, storage_module, "_RECORD_MEMO",
+                                    storage_module.StorageRegistry,
+                                    "_persist")
+            forget_before_each_call(patch, nvm_module, "_FRAME_MEMO",
+                                    nvm_module, "_frame")
+            for module in (manifest_module, worker_module):
+                forget_before_each_call(patch, manifest_module,
+                                        "_DIGEST_MEMO", module,
+                                        "payload_digest")
+            forget_before_each_call(patch, cose_module, "_VERIFY_MEMO",
+                                    cose_module.CoseSign1, "verify")
+            cold = persisted_state(options, spec)
+        assert shared[-1] and cold[-1]
+        # The shared run really shared and the cold run really did not.
+        assert shared_verifies == 1
+        assert len(verifies) - shared_verifies == 8
+        assert len({id(frame) for frame in shared[4]}) == 1
+        assert len({id(frame) for frame in cold[4]}) == 8
+        assert shared[:4] == cold[:4]
 
     def test_multicast_cycles_are_shard_independent(self):
         """The scale profile changes the *protocol* (one broadcast, no

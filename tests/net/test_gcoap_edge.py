@@ -1,10 +1,17 @@
-"""gcoap server edge cases: dedup bounds, NON requests, malformed input."""
+"""gcoap edge cases: dedup bounds, NON requests, malformed input, and
+byte-identical CON retransmissions."""
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
+from repro.deploy import PublishOptions, fanout_spec
 from repro.net import CoapMessage, CoapServer, Interface, Link, UdpStack, coap
+from repro.net.gcoap import CoapClient
+from repro.scenarios import build_fleet_publisher
+from repro.vm.imagecache import IMAGE_CACHE
 
 
 @pytest.fixture
@@ -86,3 +93,64 @@ class TestServerEdgeCases:
                             threaded=False)
         server.register("/a/b/", lambda req, dg: req.reply(coap.CONTENT))
         assert "/a/b" in server.resources
+
+
+def lossy_publish_log(monkeypatch) -> tuple[list, list, int]:
+    """Per-frame log and LinkStats of a seeded 5 %-loss unicast publish.
+
+    Each log row is (sender, destination, datagram bytes, the sender's
+    virtual time); the stats are the link's and every radio's.
+    """
+    IMAGE_CACHE.clear()
+    publisher = build_fleet_publisher(devices=4, loss=0.05, seed=3)
+    clocks = {device.radio.addr: device.kernel
+              for device in publisher.fleet.devices}
+    frames = []
+    transmit = Link.transmit
+
+    def logged(link, src, dst_addr, payload):
+        kernel = clocks.get(src.addr, publisher.kernel)
+        frames.append((src.addr, dst_addr, bytes(payload), kernel.now_us))
+        return transmit(link, src, dst_addr, payload)
+
+    encodes = []
+    encode = CoapMessage.encode
+
+    def counted(message):
+        encodes.append(message)
+        return encode(message)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Link, "transmit", logged)
+        patch.setattr(CoapMessage, "encode", counted)
+        result = publisher.publish(fanout_spec(), PublishOptions())
+    IMAGE_CACHE.clear()
+    assert result.ok
+    stats = [astuple(publisher.link.stats)] + [
+        astuple(device.radio.iface.stats)
+        for device in publisher.fleet.devices]
+    return frames, stats, len(encodes)
+
+
+class TestRetransmission:
+    """RFC 7252 §4.2: a retransmission resends the identical datagram,
+    so the client encodes each CON request once."""
+
+    def test_lossy_publish_is_byte_identical_to_reencoding(self,
+                                                           monkeypatch):
+        frames, stats, encodes = lossy_publish_log(monkeypatch)
+        transmit = CoapClient._transmit
+
+        def reencoding(client, pending):
+            pending.raw = pending.message.encode()
+            return transmit(client, pending)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CoapClient, "_transmit", reencoding)
+            old_frames, old_stats, old_encodes = \
+                lossy_publish_log(monkeypatch)
+        assert stats[0][1] > 0  # frames were dropped ...
+        assert len({row[:3] for row in frames}) < len(frames)  # ... resent
+        assert frames == old_frames
+        assert stats == old_stats
+        assert encodes < old_encodes
